@@ -25,19 +25,20 @@ from .decisions import (
     joint_correct_probs,
     optimize_decisions,
 )
-from .error_rates import rate_fit
 from .exceptions import InvalidSpec
 from .experiments import (
     DecisionEnsemble,
     ScenarioConfig,
     aggregate_replicate_csv,
     design_for,
+    exponent_payload,
     groups_for,
+    rate_fits,
     run_scenario,
     seed_for,
     write_calibration_trace,
+    write_rate_fits,
     _report_payload,
-    _fit_payload,
 )
 from .hypotheses import (
     GroupStructure,
@@ -205,19 +206,10 @@ def _cmd_rates(args) -> int:
             json.dumps(_report_payload(report), indent=2, sort_keys=True)
         )
         print(f"n={n} {rule}: mpbfdr={report.mpbfdr!r} mpbfnr={report.mpbfnr!r}")
-    rules = sorted({rule for _, rule in reports})
-    fits = {}
-    for rule in rules:
-        ns = sorted({n for n, r in reports if r == rule})
-        if len(ns) >= 3:
-            for metric in ("mpbfdr", "mpbfnr", "pbfdr", "pbfnr"):
-                values = [
-                    getattr(reports[(n, rule)], metric) or 0.0 for n in ns
-                ]
-                fits[f"{rule}.{metric}"] = _fit_payload(rate_fit(metric, values, ns, exponent))
+    fits = rate_fits(reports, exponent)
     if fits:
-        (out / "rate_fits.json").write_text(json.dumps(fits, indent=2, sort_keys=True))
-        print(f"wrote rate fits for {sorted(fits)}")
+        write_rate_fits(out / "rate_fits.json", fits)
+        print(f"wrote rate fits for {sorted(f'{rule}.{metric}' for rule, metric in fits)}")
     return 0
 
 
@@ -225,24 +217,8 @@ def _cmd_j_estimate(args) -> int:
     cfg = _load_config(args)
     n = args.n or cfg.n_grid[-1]
     m = cfg.m_for(n)
-    exponent = estimate_error_exponent(
-        cfg.params_for(m),
-        cfg.spec_for(m),
-        design_for(cfg, n),
-        grid_resolution=args.grid_resolution,
-    )
-    payload = {
-        "value": exponent.value,
-        "argmin_hypothesis": exponent.argmin_hypothesis,
-        "per_hypothesis": exponent.per_hypothesis.tolist(),
-        "widened_search": exponent.widened_search,
-        "argmin": {
-            "rho": exponent.argmin.rho,
-            "sigma2": exponent.argmin.sigma2,
-            "beta": exponent.argmin.beta.tolist(),
-        },
-        "n": n,
-    }
+    exponent = estimate_error_exponent(cfg.params_for(m), cfg.spec_for(m), design_for(cfg, n))
+    payload = exponent_payload(exponent, n)
     print(json.dumps(payload, indent=2))
     if args.out:
         outdir = Path(args.out)
@@ -304,7 +280,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("j-estimate", help="estimate the error exponent")
     _add_common(p)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--grid-resolution", type=int, default=64)
     p.set_defaults(fn=_cmd_j_estimate)
 
     p = sub.add_parser("check", help="run acceptance criteria (exit 1 on failure)")

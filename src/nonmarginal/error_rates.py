@@ -162,31 +162,23 @@ def frequentist_rates(
             fnp.append(q)
             fnr_x.append(report.fnr_xn)
             mfnr_x.append(report.mfnr_xn)
+    return conditional_report((fdp, fnp, fdr_x, fnr_x, mfdr_x, mfnr_x), len(replicates))
 
-    pfdr, se_pfdr, n_fdr = _conditional_mean(fdp)
-    pfnr, se_pfnr, n_fnr = _conditional_mean(fnp)
-    pbfdr, se_pbfdr, _ = _conditional_mean(fdr_x)
-    pbfnr, se_pbfnr, _ = _conditional_mean(fnr_x)
-    mpbfdr, se_mpbfdr, _ = _conditional_mean(mfdr_x)
-    mpbfnr, se_mpbfnr, _ = _conditional_mean(mfnr_x)
+
+def conditional_report(samples: Sequence[list[float]], n_replicates: int) -> FrequentistErrorReport:
+    """Conditional means and standard errors of per-replicate rates.
+
+    ``samples`` holds, in ``RATE_FIELDS`` order, the fdp, fnp, fdr_xn, fnr_xn,
+    mfdr_xn and mfnr_xn values of the replicates inside the respective
+    conditioning events (at least one rejection, at least one acceptance).
+    """
+    stats = {name: _conditional_mean(values) for name, values in zip(RATE_FIELDS, samples)}
     return FrequentistErrorReport(
-        pfdr=pfdr,
-        pfnr=pfnr,
-        pbfdr=pbfdr,
-        pbfnr=pbfnr,
-        mpbfdr=mpbfdr,
-        mpbfnr=mpbfnr,
-        standard_errors={
-            "pfdr": se_pfdr,
-            "pfnr": se_pfnr,
-            "pbfdr": se_pbfdr,
-            "pbfnr": se_pbfnr,
-            "mpbfdr": se_mpbfdr,
-            "mpbfnr": se_mpbfnr,
-        },
-        n_replicates=len(replicates),
-        n_conditioning_fdr=n_fdr,
-        n_conditioning_fnr=n_fnr,
+        **{name: mean for name, (mean, _, _) in stats.items()},
+        standard_errors={name: se for name, (_, se, _) in stats.items()},
+        n_replicates=n_replicates,
+        n_conditioning_fdr=stats["pfdr"][2],
+        n_conditioning_fnr=stats["pfnr"][2],
     )
 
 

@@ -40,6 +40,7 @@ from .error_rates import (
     FrequentistErrorReport,
     PosteriorErrorReport,
     RateFit,
+    conditional_report,
     false_discovery_proportion,
     false_nondiscovery_proportion,
     frequentist_rates,
@@ -61,6 +62,7 @@ from .hypotheses import (
 from .model_ar1 import (
     Ar1Params,
     CovariateDesign,
+    ErrorExponent,
     PriorConfig,
     estimate_error_exponent,
     generate_design,
@@ -85,6 +87,8 @@ REPLICATE_CSV_COLUMNS = (
     "mfdr_xn",
     "mfnr_xn",
 )
+
+RATE_FIT_METRICS = ("mpbfdr", "mpbfnr", "pbfdr", "pbfnr")
 
 
 @dataclass
@@ -507,6 +511,47 @@ def _fit_payload(fit: RateFit) -> dict:
     }
 
 
+def exponent_payload(exponent: ErrorExponent, n: int) -> dict:
+    """The ``exponent.json`` record of an error exponent computed at sample size n."""
+    return {
+        "value": exponent.value,
+        "argmin_hypothesis": exponent.argmin_hypothesis,
+        "per_hypothesis": exponent.per_hypothesis.tolist(),
+        "argmin": {
+            "rho": exponent.argmin.rho,
+            "sigma2": exponent.argmin.sigma2,
+            "beta": exponent.argmin.beta.tolist(),
+        },
+        "n": n,
+    }
+
+
+def rate_fits(reports: dict, exponent: float) -> dict[tuple[str, str], RateFit]:
+    """Decay fits of ``RATE_FIT_METRICS`` for every rule reported at three or more sizes.
+
+    ``reports`` maps (n, rule) to a ``FrequentistErrorReport``; an undefined
+    rate enters the fit as zero.
+    """
+    fits: dict[tuple[str, str], RateFit] = {}
+    for rule in dict.fromkeys(rule for _, rule in reports):
+        ns = sorted(n for n, r in reports if r == rule)
+        if len(ns) >= 3:
+            for metric in RATE_FIT_METRICS:
+                values = [getattr(reports[(n, rule)], metric) for n in ns]
+                fits[(rule, metric)] = rate_fit(metric, values, ns, exponent)
+    return fits
+
+
+def write_rate_fits(path, fits: dict[tuple[str, str], RateFit]) -> None:
+    Path(path).write_text(
+        json.dumps(
+            {f"{rule}.{metric}": _fit_payload(fit) for (rule, metric), fit in fits.items()},
+            indent=2,
+            sort_keys=True,
+        )
+    )
+
+
 def write_replicate_csv(path, ensemble: DecisionEnsemble, outcomes: list[MethodOutcome],
                         penalty: float) -> None:
     with open(path, "w", newline="") as fh:
@@ -609,37 +654,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
         cfg.params_for(cfg.m_for(n_max)), ensembles[n_max].spec, ensembles[n_max].design
     )
     epath = out / "exponent.json"
-    epath.write_text(
-        json.dumps(
-            {
-                "value": exponent.value,
-                "per_hypothesis": exponent.per_hypothesis.tolist(),
-                "argmin_hypothesis": exponent.argmin_hypothesis,
-                "widened_search": exponent.widened_search,
-                "n": n_max,
-            },
-            indent=2,
-        )
-    )
+    epath.write_text(json.dumps(exponent_payload(exponent, n_max), indent=2))
     outputs.append(epath.name)
     wallclock["error_exponent"] = time.perf_counter() - t0
 
-    fits: dict[tuple, RateFit] = {}
-    if len(cfg.n_grid) >= 3:
-        for rule in rules:
-            for metric in ("mpbfdr", "mpbfnr", "pbfdr", "pbfnr"):
-                values = [getattr(reports[(n, rule)], metric) for n in cfg.n_grid]
-                fits[(rule, metric)] = rate_fit(
-                    metric, [0.0 if v is None else v for v in values], cfg.n_grid, exponent.value
-                )
+    fits = rate_fits(reports, exponent.value)
+    if fits:
         fpath = out / "rate_fits.json"
-        fpath.write_text(
-            json.dumps(
-                {f"{rule}.{metric}": _fit_payload(fit) for (rule, metric), fit in fits.items()},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        write_rate_fits(fpath, fits)
         outputs.append(fpath.name)
 
     calibrations: dict[int, CalibrationResult] = {}
@@ -744,36 +766,4 @@ def aggregate_replicate_csv(path) -> FrequentistErrorReport:
                 mfnr_x.append(float(row["mfnr_xn"]))
     if total == 0:
         raise InvalidSpec(f"replicate CSV {path} is empty")
-
-    def mean_se(values):
-        if not values:
-            return None, None
-        mean = float(np.mean(values))
-        se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else None
-        return mean, se
-
-    pfdr, se_pfdr = mean_se(fdp)
-    pfnr, se_pfnr = mean_se(fnp)
-    pbfdr, se_pbfdr = mean_se(fdr_x)
-    pbfnr, se_pbfnr = mean_se(fnr_x)
-    mpbfdr, se_mpbfdr = mean_se(mfdr_x)
-    mpbfnr, se_mpbfnr = mean_se(mfnr_x)
-    return FrequentistErrorReport(
-        pfdr=pfdr,
-        pfnr=pfnr,
-        pbfdr=pbfdr,
-        pbfnr=pbfnr,
-        mpbfdr=mpbfdr,
-        mpbfnr=mpbfnr,
-        standard_errors={
-            "pfdr": se_pfdr,
-            "pfnr": se_pfnr,
-            "pbfdr": se_pbfdr,
-            "pbfnr": se_pbfnr,
-            "mpbfdr": se_mpbfdr,
-            "mpbfnr": se_mpbfnr,
-        },
-        n_replicates=total,
-        n_conditioning_fdr=len(fdp),
-        n_conditioning_fnr=len(fnp),
-    )
+    return conditional_report((fdp, fnp, fdr_x, fnr_x, mfdr_x, mfnr_x), total)

@@ -160,9 +160,6 @@ class GroupStructure:
     def num_hypotheses(self) -> int:
         return len(self.groups)
 
-    def is_singleton(self, i: int) -> bool:
-        return len(self.groups[i]) == 1
-
     def others(self, i: int) -> np.ndarray:
         """Sorted members of group ``i`` excluding ``i`` itself."""
         return np.array(sorted(self.groups[i] - {i}), dtype=int)

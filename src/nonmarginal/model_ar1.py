@@ -488,38 +488,9 @@ def kl_divergence_rate(theta: Ar1Params, theta0: Ar1Params, moments: SignalMomen
     )
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
-    """Minimize a unimodal function on [lo, hi]; returns (argmin, min)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    xs = [(lo, fun(lo)), (c, fc), (d, fd), (hi, fun(hi))]
-    return min(xs, key=lambda t: t[1])
-
-
-def _scan_then_refine(fun, lo: float, hi: float, grid_resolution: int):
-    """Grid scan on [lo, hi], then golden-section refinement around the best cell."""
-    if hi <= lo:
-        return lo, fun(lo)
-    grid = np.linspace(lo, hi, max(grid_resolution, 3))
-    values = [fun(t) for t in grid]
-    k = int(np.argmin(values))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, grid.size - 1)]
-    return _golden_section(fun, a, b)
+def _nearer_boundary(value: float, bound: float) -> float:
+    """The point of {-bound, +bound} closer to ``value`` (+bound on a tie)."""
+    return bound if value >= 0.0 else -bound
 
 
 @dataclass(frozen=True)
@@ -528,33 +499,40 @@ class ErrorExponent:
 
     ``value`` bounds the exponential decay of posterior error rates: they
     vanish like exp(-n * (value - eps)).  ``per_hypothesis`` holds each
-    hypothesis' own constrained minimum; ``argmin`` is the parameter point
-    attaining the overall minimum.
+    hypothesis' own infimum; ``argmin`` is the parameter point attaining the
+    overall one, on the boundary of the wrong region of ``argmin_hypothesis``.
     """
 
     value: float
     argmin: Ar1Params
     per_hypothesis: np.ndarray
     argmin_hypothesis: int
-    widened_search: bool
 
 
 def estimate_error_exponent(
     theta0: Ar1Params,
     spec: TestSpec,
     design: CovariateDesign,
-    grid_resolution: int = 64,
-    refine_iterations: int = 4,
 ) -> ErrorExponent:
     """Minimize the divergence rate over parameters that flip one decision.
 
     For each hypothesis the offending coordinate is pushed into the wrong
     region (a coefficient clamped inside the null band, or forced outside it;
-    the autoregression forced past the stationarity boundary) while the
-    remaining coefficients stay at their generating values and (rho, sigma2)
-    are optimized freely.  Each one-dimensional minimization is a grid scan
-    followed by golden-section refinement; brackets for the free coordinates
-    widen automatically when a minimum lands on the edge.
+    the autoregression pulled inside, or pushed past, ``rho_null_bound``) while
+    the remaining coefficients stay at their generating values and (rho,
+    sigma2) are free.  The divergence rate is then
+
+        h = log(sigma2 / sigma0^2) / 2 + A / (2 sigma2) - 1/2,
+        A = sigma0^2 + V (rho - rho0)^2 + G_ii (b_i - b0_i)^2,
+
+    with G = (Z'Z)/n and V = (sigma0^2 + b0'G b0) / (1 - rho0^2).  The best
+    sigma2 is A, so h = log(A / sigma0^2) / 2, and the offending coordinate
+    sits on the wrong region's boundary nearest the truth, at distance delta:
+
+        coefficient i:   J_i = log1p(G_ii delta^2 / sigma0^2) / 2,
+                         delta = | |b0_i| - null_radius |, rho = rho0;
+        autoregression:  J = log1p(V delta^2 / sigma0^2) / 2,
+                         delta = | |rho0| - rho_null_bound |.
 
     Single-coordinate violations suffice: flipping several decisions shrinks
     the feasible set, so it cannot lower the minimum.
@@ -564,99 +542,23 @@ def estimate_error_exponent(
     if theta0.num_coefficients != design.num_covariates + 1:
         raise InvalidSpec("coefficient vector and design width disagree")
     gram = design.gram()
-    beta0 = np.asarray(theta0.beta, dtype=float)
-    g_beta0 = gram @ beta0
-    base_power = float(beta0 @ g_beta0)
+    beta0 = theta0.beta
     s20 = theta0.sigma2
-    eps0 = spec.null_radius
-    h = spec.num_hypotheses
-    rho_alt_true = abs(theta0.rho) >= spec.rho_null_bound
+    long_run = (s20 + float(beta0 @ gram @ beta0)) / (1.0 - theta0.rho**2)
 
-    def h_at(rho: float, sigma2: float, coef_index: int | None, coef_value: float) -> float:
-        if coef_index is None:
-            model_power, cross_power = base_power, base_power
-        else:
-            delta = coef_value - beta0[coef_index]
-            model_power = base_power + 2.0 * delta * g_beta0[coef_index] + delta**2 * gram[coef_index, coef_index]
-            cross_power = base_power + delta * g_beta0[coef_index]
-        moments = SignalMoments(max(model_power, 0.0), base_power, cross_power)
-        return kl_divergence_rate(Ar1Params(rho, sigma2, beta0), theta0, moments)
-
-    widened = False
-
-    def minimize_free(fun, center: float, span: float, positive: bool):
-        """Minimize over an unconstrained coordinate, widening until interior."""
-        nonlocal widened
-        for _ in range(12):
-            lo, hi = center - span, center + span
-            if positive:
-                lo = max(lo, 1e-8)
-            x, fx = _scan_then_refine(fun, lo, hi, grid_resolution)
-            margin = (hi - lo) / max(grid_resolution, 3)
-            at_edge = (x - lo < margin and lo > 1e-8) or (hi - x < margin)
-            if not at_edge:
-                return x, fx
-            widened = True
-            span *= 2.0
-        return x, fx
-
-    def constrained_minimum(intervals, coef_index):
-        """Coordinate descent over (pinned coordinate, rho, sigma2)."""
-        best = None
-        for lo, hi in intervals:
-            rho, sigma2 = theta0.rho, s20
-            pinned = min(max(beta0[coef_index] if coef_index is not None else theta0.rho, lo), hi)
-            value = math.inf
-            for _ in range(refine_iterations):
-                if coef_index is not None:
-                    pinned, value = _scan_then_refine(
-                        lambda t: h_at(rho, sigma2, coef_index, t), lo, hi, grid_resolution
-                    )
-                else:
-                    pinned, value = _scan_then_refine(
-                        lambda r: h_at(r, sigma2, None, 0.0), lo, hi, grid_resolution
-                    )
-                if coef_index is not None:
-                    rho, value = minimize_free(
-                        lambda r: h_at(r, sigma2, coef_index, pinned), rho, 1.0, positive=False
-                    )
-                sigma2, value = minimize_free(
-                    lambda s: h_at(rho if coef_index is not None else pinned, s, coef_index, pinned),
-                    sigma2,
-                    max(s20, 1.0),
-                    positive=True,
-                )
-                if coef_index is None:
-                    rho = pinned
-            candidate = (value, rho, sigma2, pinned)
-            if best is None or candidate[0] < best[0]:
-                best = candidate
-        return best
-
-    per_hypothesis = np.empty(h)
+    per_hypothesis = np.empty(spec.num_hypotheses)
     argmins: list[Ar1Params] = []
-    for hyp in range(h):
+    for hyp in range(spec.num_hypotheses):
         coef = spec.coefficient_of_hypothesis(hyp)
+        rho, beta = theta0.rho, beta0.copy()
         if coef is None:
-            if rho_alt_true:
-                # a true alternative is missed by accepting stationarity
-                intervals = [(-spec.rho_null_bound, spec.rho_null_bound)]
-            else:
-                bound = max(2.0, abs(theta0.rho) + 2.0)
-                intervals = [(spec.rho_null_bound, bound), (-bound, -spec.rho_null_bound)]
-        elif abs(beta0[coef]) > eps0:
-            # a true alternative is missed by accepting the null band
-            intervals = [(-eps0, eps0)]
+            rho = _nearer_boundary(theta0.rho, spec.rho_null_bound)
+            excess = long_run * (rho - theta0.rho) ** 2
         else:
-            # a true null is rejected by escaping the band
-            bound = eps0 + max(1.0, 3.0 * math.sqrt(s20 / max(gram[coef, coef], 1e-12)))
-            intervals = [(eps0, bound), (-bound, -eps0)]
-        value, rho, sigma2, pinned = constrained_minimum(intervals, coef)
-        per_hypothesis[hyp] = value
-        beta_star = beta0.copy()
-        if coef is not None:
-            beta_star[coef] = pinned
-        argmins.append(Ar1Params(rho, sigma2, beta_star))
+            beta[coef] = _nearer_boundary(beta0[coef], spec.null_radius)
+            excess = gram[coef, coef] * (beta[coef] - beta0[coef]) ** 2
+        per_hypothesis[hyp] = 0.5 * math.log1p(excess / s20)
+        argmins.append(Ar1Params(rho, s20 + excess, beta))
 
     best_hyp = int(np.argmin(per_hypothesis))
     return ErrorExponent(
@@ -664,7 +566,6 @@ def estimate_error_exponent(
         argmin=argmins[best_hyp],
         per_hypothesis=per_hypothesis,
         argmin_hypothesis=best_hyp,
-        widened_search=widened,
     )
 
 

@@ -8,9 +8,11 @@ with ``pytest tests/test_acceptance.py -v -s`` to see one line per criterion.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from nonmarginal import FrequentistErrorReport, rate_fit
 from nonmarginal.acceptance import (
     AcceptanceContext,
     criterion_1_oracle_equivalence,
@@ -46,6 +48,22 @@ def test_criterion_2_consistency(ctx):
 
 def test_criterion_3_error_decay(ctx):
     _finish(criterion_3_error_decay(ctx))
+
+
+def test_criterion_3_fails_on_an_undefined_final_rate():
+    ns = (250, 500, 1000)
+    fit = rate_fit("m", [math.exp(-0.01 * n) for n in ns], ns, 0.01)
+    final = FrequentistErrorReport(
+        pfdr=None, pfnr=0.0, pbfdr=None, pbfnr=1e-3, mpbfdr=None, mpbfnr=1e-3,
+        standard_errors={}, n_replicates=3, n_conditioning_fdr=0, n_conditioning_fnr=3,
+    )
+    stub = SimpleNamespace(
+        cfg=SimpleNamespace(n_grid=ns),
+        decay_fits=lambda: {"reports": {ns[-1]: final}, "mfdr_fit": fit, "mfnr_fit": fit},
+    )
+    result = criterion_3_error_decay(stub)
+    assert not result.passed
+    assert "mpbfdr=None" in result.details
 
 
 def test_criterion_4_equipartition(ctx):

@@ -331,10 +331,34 @@ class TestErrorExponent:
         assert exponent.value == pytest.approx(float(exponent.per_hypothesis.min()))
         assert exponent.value >= -1e-9
 
-    def test_grid_doubling_stability(self):
-        coarse = estimate_error_exponent(self.theta0, self.spec, self.design, grid_resolution=64)
-        fine = estimate_error_exponent(self.theta0, self.spec, self.design, grid_resolution=128)
-        assert abs(coarse.value - fine.value) < 1e-4
+    def test_every_wrong_region_matches_dense_grid_oracle(self):
+        # (truth, spec, hypothesis, wrong-region grid for its coordinate)
+        edge = np.arange(0.0, 0.2 + 1e-12, 0.05)
+        null_true_rho = Ar1Params(0.0, 1.0, self.theta0.beta)
+        alt_true_rho = Ar1Params(0.5, 1.0, self.theta0.beta)
+        narrow = TestSpec(num_covariates=2, include_rho_test=True, null_radius=0.1, rho_null_bound=0.3)
+        cases = {
+            "rho null true": (null_true_rho, narrow, 0, np.concatenate([0.3 + edge, -0.3 - edge])),
+            "rho alternative true": (alt_true_rho, narrow, 0, np.linspace(-0.3, 0.3, 13)),
+            "coefficient null true": (self.theta0, self.spec, 3, np.concatenate([0.1 + edge, -0.1 - edge])),
+            "coefficient alternative true": (self.theta0, self.spec, 2, np.linspace(-0.1, 0.1, 9)),
+        }
+        sigma2s = np.arange(0.5, 2.0 + 1e-12, 2e-3)
+        for name, (theta0, spec, hyp, wrong_values) in cases.items():
+            exponent = estimate_error_exponent(theta0, spec, self.design)
+            coef = spec.coefficient_of_hypothesis(hyp)
+            rhos = wrong_values if coef is None else theta0.rho + np.linspace(-0.04, 0.04, 5)
+            best = math.inf
+            for pinned in [None] if coef is None else wrong_values:
+                beta = theta0.beta.copy()
+                if coef is not None:
+                    beta[coef] = pinned
+                moments = quadratic_limits(beta, theta0.beta, self.design)
+                for rho in rhos:
+                    for s2 in sigma2s:
+                        h = kl_divergence_rate(Ar1Params(float(rho), float(s2), beta), theta0, moments)
+                        best = min(best, h)
+            assert abs(exponent.per_hypothesis[hyp] - best) < 1e-6, name
 
     def test_boundary_collapse_sends_exponent_to_zero(self):
         values = []
