@@ -43,10 +43,8 @@ from .error_rates import (
 from .exceptions import InfeasibleDesign, InvalidSpec, NumericalFailure
 from .experiments import (
     DecisionEnsemble,
-    ReplicateResult,
     RunManifest,
     ScenarioConfig,
-    run_replicate,
     run_scenario,
 )
 from .hypotheses import (

@@ -16,14 +16,12 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .acceptance import AcceptanceContext, run_all
 from .calibration import calibrate_penalty
 from .decisions import (
     alternative_indicators,
-    joint_correct_probs,
     optimize_decisions,
+    penalized_objective,
 )
 from .exceptions import InvalidSpec
 from .experiments import (
@@ -111,8 +109,7 @@ def _cmd_decide(args) -> int:
     partition = connected_components(groups)
     indicators = alternative_indicators(draws, spec)
     config = optimize_decisions(indicators, groups, partition, penalty, cfg.optimizer_config())
-    joint = joint_correct_probs(indicators, groups, config)
-    objective = float(np.dot(config.bits, joint - penalty))
+    objective = penalized_objective(config, indicators, groups, penalty)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "decisions.csv"

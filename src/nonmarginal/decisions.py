@@ -101,20 +101,8 @@ def joint_correct_probs(
 
     For a singleton group this is exactly the marginal probability.
     """
-    ind = indicators.ind
-    h = indicators.num_hypotheses
-    if groups.num_hypotheses != h or len(config) != h:
-        raise InvalidSpec("indicators, groups, and decision vector disagree on length")
-    bits = config.bits
-    out = np.empty(h)
-    for i in range(h):
-        others = groups.others(i)
-        if others.size == 0:
-            out[i] = ind[:, i].mean()
-        else:
-            match = (ind[:, others] == bits[others]).all(axis=1)
-            out[i] = (ind[:, i] & match).mean()
-    return out
+    tables, code = _whole_family(indicators, groups, config)
+    return np.array([tables.w(i, code) for i in range(len(config))])
 
 
 def penalized_objective(
@@ -126,9 +114,8 @@ def penalized_objective(
     """sum_i d_i * (w_i(d) - penalty); zero for the all-accept configuration."""
     if not 0.0 <= penalty < 1.0:
         raise InvalidSpec("penalty must lie in [0, 1)")
-    w = joint_correct_probs(indicators, groups, config)
-    d = config.bits.astype(float)
-    return float(np.dot(d, w - penalty))
+    tables, code = _whole_family(indicators, groups, config)
+    return float(tables.objective(code, penalty, range(len(config))))
 
 
 def additive_rule_at_penalty(marginals: np.ndarray, penalty: float) -> DecisionConfig:
@@ -152,175 +139,110 @@ def additive_rule(marginals: np.ndarray, cost: float) -> DecisionConfig:
 # component-wise maximization
 # ---------------------------------------------------------------------------
 
-class _GroupTables:
-    """Per-hypothesis lookup tables for w_i(d) * S.
+def _encode(bits) -> int:
+    """Integer code of a bit vector: bit k-1-j holds d_j, so integer order is
+    lexicographic order of (d_0, d_1, ...)."""
+    code = 0
+    for b in bits:
+        code = (code << 1) | bool(b)
+    return code
 
-    Table ``i`` is indexed by the bit pattern of the decisions on the group of
-    ``i`` (excluding ``i``) and counts the draws where the alternative of ``i``
-    holds and the group indicators match that pattern, so one objective
-    evaluation is a handful of O(1) lookups.
+
+def _decode(code: int, k: int) -> np.ndarray:
+    return np.array([(code >> s) & 1 for s in range(k - 1, -1, -1)], dtype=bool)
+
+
+class _JointTables:
+    """w_i(d) and the penalized objective for k hypotheses, with d an integer code.
+
+    Table ``i`` is indexed by the pattern of decisions on ``others[i]`` (bit
+    ``b`` holds the decision on ``others[i][b]``) and holds the share of draws
+    where the alternative of ``i`` holds and the indicators of ``others[i]``
+    match that pattern.  ``w`` and ``objective`` take either one Python int or
+    an int64 array of codes.
     """
 
-    _TABLE_LIMIT = 24  # beyond this, fall back to direct masking per evaluation
+    def __init__(self, ind: np.ndarray, others: list[np.ndarray]):
+        k = ind.shape[1]
+        self.shift = [k - 1 - j for j in range(k)]
+        self.others = [[int(j) for j in o] for o in others]
+        self.tables = []
+        columns = ind.T.astype(np.int64)
+        for i, o in enumerate(others):
+            patterns = (1 << np.arange(len(o), dtype=np.int64)) @ columns[o]
+            counts = np.bincount(patterns, weights=columns[i], minlength=1 << len(o))
+            self.tables.append(counts / ind.shape[0])
 
-    def __init__(self, indicators: PosteriorIndicators, groups: GroupStructure):
-        ind = indicators.ind
-        self.ind = ind
-        self.num_draws = indicators.num_draws
-        self.others: list[np.ndarray] = []
-        self.counts: list[np.ndarray | None] = []
-        for i in range(indicators.num_hypotheses):
-            others = groups.others(i)
-            self.others.append(others)
-            if others.size == 0:
-                self.counts.append(np.array([ind[:, i].sum()], dtype=np.int64))
-            elif others.size <= self._TABLE_LIMIT:
-                weights = 1 << np.arange(others.size, dtype=np.int64)
-                patterns = ind[:, others].astype(np.int64) @ weights
-                self.counts.append(
-                    np.bincount(patterns[ind[:, i]], minlength=1 << others.size)
-                )
-            else:
-                self.counts.append(None)
-
-    def joint_prob(self, i: int, bits: np.ndarray) -> float:
-        others = self.others[i]
-        counts = self.counts[i]
-        if others.size == 0:
-            return counts[0] / self.num_draws
-        if counts is None:
-            match = (self.ind[:, others] == bits[others]).all(axis=1)
-            return (self.ind[:, i] & match).sum() / self.num_draws
+    def w(self, i: int, code):
         pattern = 0
-        for b, j in enumerate(others):
-            if bits[j]:
-                pattern |= 1 << b
-        return counts[pattern] / self.num_draws
+        for b, j in enumerate(self.others[i]):
+            pattern = pattern | (((code >> self.shift[j]) & 1) << b)
+        return self.tables[i][pattern]
+
+    def objective(self, code, penalty: float, hyps):
+        """sum over ``hyps`` of d_i * (w_i(d) - penalty), summed in ``hyps`` order."""
+        total = 0.0
+        for i in hyps:
+            total = total + ((code >> self.shift[i]) & 1) * (self.w(i, code) - penalty)
+        return total
 
 
-def _popcount(values: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(values)
+def _whole_family(indicators: PosteriorIndicators, groups: GroupStructure,
+                  config: DecisionConfig) -> tuple[_JointTables, int]:
+    h = indicators.num_hypotheses
+    if groups.num_hypotheses != h or len(config) != h:
+        raise InvalidSpec("indicators, groups, and decision vector disagree on length")
+    others = [groups.others(i) for i in range(h)]
+    return _JointTables(indicators.ind, others), _encode(config.bits)
 
 
-def _lexicographic_rank(values: np.ndarray, width: int) -> np.ndarray:
-    """Rank configurations so that the tuple (d_0, d_1, ...) orders lexicographically."""
-    rank = np.zeros_like(values)
-    for j in range(width):
-        rank |= ((values >> np.uint64(j)) & np.uint64(1)) << np.uint64(width - 1 - j)
-    return rank
-
-
-def _enumerate_component(
-    component: tuple[int, ...],
-    tables: _GroupTables,
-    penalty: float,
-) -> np.ndarray:
-    """Exact maximization over all 2^k configurations of one component.
+def _enumerate_component(tables: _JointTables, k: int, penalty: float) -> int:
+    """Exact maximization over all 2^k codes of one component.
 
     Ties are broken toward fewer rejections, then the lexicographically
     smallest bit vector, so the result is deterministic.
     """
-    k = len(component)
-    position = {hyp: idx for idx, hyp in enumerate(component)}
-    configs = np.arange(1 << k, dtype=np.uint64)
-    objective = np.zeros(1 << k)
-    s = tables.num_draws
-    for hyp in component:
-        d_bit = ((configs >> np.uint64(position[hyp])) & np.uint64(1)).astype(float)
-        others = tables.others[hyp]
-        pattern = np.zeros_like(configs)
-        for b, j in enumerate(others):
-            pattern |= ((configs >> np.uint64(position[j])) & np.uint64(1)) << np.uint64(b)
-        w = tables.counts[hyp][pattern.astype(np.int64)] / s
-        objective += d_bit * (w - penalty)
-    best = objective.max()
-    candidates = configs[objective == best]
-    rejections = _popcount(candidates)
-    candidates = candidates[rejections == rejections.min()]
-    winner = candidates[np.argmin(_lexicographic_rank(candidates, k))]
-    bits = np.zeros(k, dtype=bool)
-    for idx in range(k):
-        bits[idx] = bool((int(winner) >> idx) & 1)
-    return bits
-
-
-def _component_objective(
-    component: tuple[int, ...],
-    tables: _GroupTables,
-    bits: np.ndarray,
-    penalty: float,
-) -> float:
-    total = 0.0
-    for hyp in component:
-        if bits[hyp]:
-            total += tables.joint_prob(hyp, bits) - penalty
-    return total
-
-
-def _tie_break_key(bits_component: np.ndarray):
-    return (int(bits_component.sum()), tuple(int(b) for b in bits_component))
+    codes = np.arange(1 << k, dtype=np.int64)
+    values = tables.objective(codes, penalty, range(k))
+    tied = codes[values == values.max()]
+    return int(tied[np.argmin((np.bitwise_count(tied).astype(np.int64) << k) | tied)])
 
 
 def _anneal_component(
-    component: tuple[int, ...],
-    tables: _GroupTables,
-    marginals: np.ndarray,
+    tables: _JointTables,
+    k: int,
+    warm_start: np.ndarray,
     penalty: float,
     config: OptimizerConfig,
     component_id: int,
-    full_bits: np.ndarray,
-) -> np.ndarray:
-    """Simulated annealing over single-bit flips; returns the best state visited.
+) -> int:
+    """Simulated annealing over single-bit flips; returns the best code visited.
 
     Restart 0 starts from the marginal thresholding warm start, the remaining
     restarts from random configurations.  Proposals are accepted with
     probability exp(delta / T) under a geometric cooling schedule.
     """
-    comp = np.array(component, dtype=int)
-    affected: dict[int, list[int]] = {hyp: [hyp] for hyp in component}
-    for hyp in component:
-        for j in tables.others[hyp]:
-            affected[int(j)].append(hyp)
-
+    # the terms that change when d_j flips: j itself and every i grouped with j
+    affected = [[j] + [i for i in range(k) if j in tables.others[i]] for j in range(k)]
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, component_id]))
-    best_bits: np.ndarray | None = None
-    best_value = -math.inf
-    best_key = None
-
-    def consider(bits: np.ndarray, value: float):
-        nonlocal best_bits, best_value, best_key
-        key = _tie_break_key(bits[comp])
-        if value > best_value or (value == best_value and key < best_key):
-            best_bits = bits.copy()
-            best_value = value
-            best_key = key
-
+    best_key = (math.inf,)
     for restart in range(config.restarts):
-        bits = full_bits.copy()
-        if restart == 0:
-            bits[comp] = marginals[comp] > penalty
-        else:
-            bits[comp] = rng.random(comp.size) < 0.5
-        value = _component_objective(component, tables, bits, penalty)
-        consider(bits, value)
+        code = _encode(warm_start if restart == 0 else rng.random(k) < 0.5)
+        value = tables.objective(code, penalty, range(k))
+        best_key = min(best_key, (-value, code.bit_count(), code))
         temperature = config.initial_temperature
         for _ in range(config.annealing_iterations):
-            flip = int(comp[rng.integers(comp.size)])
-            old_terms = sum(
-                (tables.joint_prob(h, bits) - penalty) for h in affected[flip] if bits[h]
-            )
-            bits[flip] = ~bits[flip]
-            new_terms = sum(
-                (tables.joint_prob(h, bits) - penalty) for h in affected[flip] if bits[h]
-            )
-            delta = new_terms - old_terms
-            consider(bits, value + delta)
+            flip = int(rng.integers(k))
+            proposal = code ^ (1 << tables.shift[flip])
+            terms = affected[flip]
+            delta = (tables.objective(proposal, penalty, terms)
+                     - tables.objective(code, penalty, terms))
+            best_key = min(best_key, (-(value + delta), proposal.bit_count(), proposal))
             if delta > 0 or rng.random() < math.exp(min(delta / max(temperature, 1e-300), 0.0)):
+                code = proposal
                 value += delta
-            else:
-                bits[flip] = ~bits[flip]
             temperature *= config.cooling_factor
-    return best_bits[comp]
+    return best_key[2]
 
 
 def optimize_decisions(
@@ -345,19 +267,15 @@ def optimize_decisions(
     config = config or OptimizerConfig()
     marginals = marginal_probs(indicators)
     bits = np.zeros(h, dtype=bool)
-    tables = None
     for cid, component in enumerate(partition.components):
-        if len(component) == 1:
-            # singleton component: the lone term is marginal, ties go to acceptance
-            i = component[0]
-            bits[i] = marginals[i] > penalty
-            continue
-        if tables is None:
-            tables = _GroupTables(indicators, groups)
-        if len(component) <= config.exact_component_limit:
-            bits[list(component)] = _enumerate_component(component, tables, penalty)
+        comp = list(component)
+        # components are sorted and contain every group they touch
+        others = [np.searchsorted(comp, groups.others(hyp)) for hyp in comp]
+        tables = _JointTables(indicators.ind[:, comp], others)
+        k = len(comp)
+        if k <= config.exact_component_limit:
+            code = _enumerate_component(tables, k, penalty)
         else:
-            bits[list(component)] = _anneal_component(
-                component, tables, marginals, penalty, config, cid, bits
-            )
+            code = _anneal_component(tables, k, marginals[comp] > penalty, penalty, config, cid)
+        bits[comp] = _decode(code, k)
     return DecisionConfig(bits)

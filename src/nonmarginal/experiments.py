@@ -29,7 +29,6 @@ from .calibration import CalibrationResult, CurvePoint, calibrate_penalty
 from .decisions import (
     OptimizerConfig,
     PosteriorIndicators,
-    additive_rule,
     additive_rule_at_penalty,
     alternative_indicators,
     joint_correct_probs,
@@ -52,7 +51,6 @@ from .hypotheses import (
     DecisionConfig,
     GroupStructure,
     TestSpec,
-    TruthAssignment,
     build_groups,
     connected_components,
     read_group_file,
@@ -248,21 +246,6 @@ class ReplicateFailure:
 class MethodOutcome:
     config: DecisionConfig
     report: PosteriorErrorReport
-    objective_value: float
-
-
-@dataclass(frozen=True, eq=False)
-class ReplicateResult:
-    """Full output of one replicate: both decision rules plus the truth."""
-
-    n: int
-    replicate_id: int
-    truth: TruthAssignment
-    nonmarginal: MethodOutcome
-    additive: MethodOutcome
-    marginals: np.ndarray
-    failed: bool = False
-    error: str = ""
 
 
 def _posterior_worker(args) -> ReplicatePosterior | ReplicateFailure:
@@ -375,9 +358,7 @@ class DecisionEnsemble:
         else:
             raise InvalidSpec(f"unknown decision rule {rule!r}")
         joint = joint_correct_probs(rep.indicators, self.groups, config)
-        report = posterior_rates(rep.marginals, joint, config)
-        objective = float(np.dot(config.bits, joint - penalty))
-        return MethodOutcome(config, report, objective)
+        return MethodOutcome(config, posterior_rates(rep.marginals, joint, config))
 
     def decide(self, penalty: float, rule: str = "nonmarginal") -> list[MethodOutcome]:
         key = (rule, round(float(penalty), 15))
@@ -413,41 +394,6 @@ class DecisionEnsemble:
         p = float(hits.mean())
         se = math.sqrt(p * (1.0 - p) / hits.size)
         return p, se
-
-
-def run_replicate(cfg: ScenarioConfig, n: int, replicate_id: int) -> ReplicateResult:
-    """One end-to-end replicate: both decision rules and their posterior rates."""
-    m = cfg.m_for(n)
-    spec = cfg.spec_for(m)
-    design = design_for(cfg, n)
-    groups = groups_for(cfg, design, spec)
-    partition = connected_components(groups)
-    truth = truth_from_params(cfg.params_for(m), spec)
-    rep = build_replicate_posterior(cfg, n, replicate_id)
-
-    nm_config = optimize_decisions(rep.indicators, groups, partition, cfg.penalty, cfg.optimizer_config())
-    nm_joint = joint_correct_probs(rep.indicators, groups, nm_config)
-    nm = MethodOutcome(
-        nm_config,
-        posterior_rates(rep.marginals, nm_joint, nm_config),
-        float(np.dot(nm_config.bits, nm_joint - cfg.penalty)),
-    )
-    add_config = additive_rule(rep.marginals, cfg.additive_cost)
-    add_joint = joint_correct_probs(rep.indicators, groups, add_config)
-    add_penalty = cfg.additive_cost / (1.0 + cfg.additive_cost)
-    add = MethodOutcome(
-        add_config,
-        posterior_rates(rep.marginals, add_joint, add_config),
-        float(np.dot(add_config.bits, add_joint - add_penalty)),
-    )
-    return ReplicateResult(
-        n=n,
-        replicate_id=replicate_id,
-        truth=truth,
-        nonmarginal=nm,
-        additive=add,
-        marginals=rep.marginals,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +512,12 @@ def write_replicate_csv(path, ensemble: DecisionEnsemble, outcomes: list[MethodO
                     rep.n,
                     f"{penalty:.12g}",
                     "".join("1" if b else "0" for b in outcome.config.bits),
-                    "" if fdp is None else f"{fdp:.12g}",
-                    "" if fnp is None else f"{fnp:.12g}",
-                    f"{outcome.report.fdr_xn:.12g}",
-                    f"{outcome.report.fnr_xn:.12g}",
-                    f"{outcome.report.mfdr_xn:.12g}",
-                    f"{outcome.report.mfnr_xn:.12g}",
+                    "" if fdp is None else repr(float(fdp)),
+                    "" if fnp is None else repr(float(fnp)),
+                    repr(float(outcome.report.fdr_xn)),
+                    repr(float(outcome.report.fnr_xn)),
+                    repr(float(outcome.report.mfdr_xn)),
+                    repr(float(outcome.report.mfnr_xn)),
                 ]
             )
 

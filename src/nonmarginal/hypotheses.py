@@ -21,6 +21,11 @@ from .exceptions import InvalidSpec
 if TYPE_CHECKING:  # pragma: no cover
     from .model_ar1 import Ar1Params, CovariateDesign
 
+# The joint-probability tables of a group structure hold sum_i 2^(|g_i| - 1)
+# entries, one per decision pattern on the rest of each group; at 8 bytes an
+# entry this caps them at 32 MiB.
+GROUP_TABLE_BUDGET = 1 << 22
+
 
 def _frozen_bool_array(values) -> np.ndarray:
     arr = np.array(values, dtype=bool)
@@ -154,6 +159,13 @@ class GroupStructure:
                 raise InvalidSpec(f"group {i} does not contain its own hypothesis")
             if any(not 0 <= j < h for j in g):
                 raise InvalidSpec(f"group {i} references an out-of-range hypothesis")
+        entries = sum(1 << (len(g) - 1) for g in groups)
+        if entries > GROUP_TABLE_BUDGET:
+            largest = max(range(h), key=lambda i: len(groups[i]))
+            raise InvalidSpec(
+                f"group tables need {entries} entries, over the budget of {GROUP_TABLE_BUDGET}; "
+                f"the largest group is hypothesis {largest}'s with {len(groups[largest])} members"
+            )
         object.__setattr__(self, "groups", groups)
 
     @property

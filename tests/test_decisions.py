@@ -54,6 +54,18 @@ def _brute_force(indicators, groups, penalty):
     return DecisionConfig(best_bits), best_key[0]
 
 
+def _mask_oracle(indicators, groups, config):
+    """w_i(d) by masking draws directly, independent of the optimizer's tables."""
+    ind = indicators.ind
+    bits = config.bits
+    out = np.empty(indicators.num_hypotheses)
+    for i in range(indicators.num_hypotheses):
+        others = groups.others(i)
+        match = (ind[:, others] == bits[others]).all(axis=1)
+        out[i] = (ind[:, i] & match).mean()
+    return out
+
+
 def _random_problem(rng, max_h=10):
     h = int(rng.integers(2, max_h + 1))
     s = int(rng.integers(8, 48))
@@ -160,6 +172,28 @@ class TestJointProbs:
         w_flip = joint_correct_probs(ind, groups, DecisionConfig(flipped))
         assert w_base[0] == w_flip[0]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_mask_oracle_exactly(self, data):
+        h = data.draw(st.integers(2, 9), label="h")
+        s = data.draw(st.integers(1, 40), label="draws")
+        matrix = data.draw(
+            st.lists(st.lists(st.booleans(), min_size=h, max_size=h), min_size=s, max_size=s),
+            label="indicators",
+        )
+        groups = GroupStructure(
+            tuple(
+                frozenset({i}) | data.draw(
+                    st.frozensets(st.integers(0, h - 1), max_size=4), label=f"group {i}"
+                )
+                for i in range(h)
+            )
+        )
+        config = DecisionConfig(data.draw(st.lists(st.booleans(), min_size=h, max_size=h)))
+        ind = _indicators_from_matrix(matrix)
+        w = joint_correct_probs(ind, groups, config)
+        assert w.tobytes() == _mask_oracle(ind, groups, config).tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_joint_bounded_by_marginal(self, seed):
@@ -262,6 +296,21 @@ class TestOptimizer:
         best = optimize_decisions(tied, joint, partition, 0.1)
         oracle, _ = _brute_force(tied, joint, 0.1)
         assert best == oracle
+
+    @pytest.mark.parametrize("exact_limit", [20, 1])
+    def test_all_configurations_tie_at_zero_penalty_and_accept_all(self, exact_limit):
+        # columns 0-3 are never alternative: every configuration of their component scores zero
+        matrix = np.zeros((6, 5), dtype=bool)
+        matrix[:, 4] = True
+        ind = _indicators_from_matrix(matrix)
+        groups = GroupStructure(
+            (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2, 3}),
+             frozenset({3}), frozenset({4}))
+        )
+        partition = connected_components(groups)
+        config = OptimizerConfig(exact_component_limit=exact_limit)
+        found = optimize_decisions(ind, groups, partition, 0.0, config)
+        assert found.bits.tolist() == [False, False, False, False, True]
 
     def test_annealing_agrees_with_exact_on_forced_fallback(self):
         rng = np.random.default_rng(5)

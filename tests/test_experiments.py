@@ -11,7 +11,6 @@ from nonmarginal import (
     InvalidSpec,
     PriorConfig,
     ScenarioConfig,
-    run_replicate,
     run_scenario,
 )
 from nonmarginal import experiments
@@ -100,15 +99,16 @@ class TestDeterminism:
         assert np.array_equal(a.indicators.ind, b.indicators.ind)
         assert np.array_equal(a.marginals, b.marginals)
 
-    def test_run_replicate_deterministic_and_decisive_when_noiseless(self, tiny_cfg):
+    def test_one_replicate_ensemble_deterministic_and_decisive_when_noiseless(self, tiny_cfg):
         cfg = ScenarioConfig.from_dict({**tiny_cfg.to_dict(), "sigma0_sq": 1e-6})
-        first = run_replicate(cfg, 40, 0)
-        second = run_replicate(cfg, 40, 0)
-        assert first.nonmarginal.config == second.nonmarginal.config
-        assert np.array_equal(first.marginals, second.marginals)
+        first = DecisionEnsemble(cfg, 40, replicates=1, workers=1)
+        second = DecisionEnsemble(cfg, 40, replicates=1, workers=1)
+        assert first.decide(cfg.penalty)[0].config == second.decide(cfg.penalty)[0].config
+        assert np.array_equal(first.replicates[0].marginals, second.replicates[0].marginals)
         # overwhelming signal: both rules recover the truth exactly
-        assert first.nonmarginal.config == first.truth.true_config
-        assert first.additive.config == first.truth.true_config
+        additive_penalty = cfg.additive_cost / (1.0 + cfg.additive_cost)
+        assert first.decide(cfg.penalty)[0].config == first.truth.true_config
+        assert first.decide(additive_penalty, "additive")[0].config == first.truth.true_config
 
     def test_scenario_outputs_identical_across_runs_and_workers(self, tiny_cfg, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -213,5 +213,5 @@ class TestArtifacts:
 
     def test_single_replicate_posterior_rate_is_small_at_scale(self):
         cfg = ScenarioConfig(replicates=1, num_draws=600, burn_in=200)
-        result = run_replicate(cfg, 1000, 0)
-        assert result.nonmarginal.report.mfdr_xn < 0.1
+        outcome = DecisionEnsemble(cfg, 1000, workers=1).decide(cfg.penalty)[0]
+        assert outcome.report.mfdr_xn < 0.1

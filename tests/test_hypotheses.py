@@ -191,6 +191,38 @@ class TestConnectedComponents:
             GroupStructure((frozenset({0, 5}),))
 
 
+def _chain_rows(blocks):
+    """The chain group file of the grouped benchmarks: rho alone, then each
+    coefficient with its neighbours inside its block."""
+    rows, start = [[0]], 0
+    for size in blocks:
+        stop = start + size
+        for i in range(start, stop):
+            rows.append([1 + j for j in (i - 1, i, i + 1) if start <= j < stop])
+        start = stop
+    return rows
+
+
+class TestGroupTableBudget:
+    def test_one_shared_24_member_group_is_rejected(self, tmp_path):
+        path = tmp_path / "groups.txt"
+        path.write_text("".join(" ".join(map(str, range(24))) + "\n" for _ in range(24)))
+        with pytest.raises(InvalidSpec, match="24 members"):
+            read_group_file(path, 24)
+
+    def test_wide_correlation_groups_are_rejected(self):
+        design = generate_design(60, 30, seed=3)
+        spec = TestSpec(num_covariates=30)
+        with pytest.raises(InvalidSpec, match="budget"):
+            build_groups(design, spec, threshold=0.0, max_group_size=24)
+
+    @pytest.mark.parametrize("blocks", [(18, 16, 7), (24, 17)])
+    def test_benchmark_chain_groups_fit(self, tmp_path, blocks):
+        path = tmp_path / "groups.txt"
+        path.write_text("".join(" ".join(map(str, row)) + "\n" for row in _chain_rows(blocks)))
+        assert read_group_file(path, 42).num_hypotheses == 42
+
+
 class TestTruthProportions:
     def test_half_and_half(self):
         groups = GroupStructure.singletons(4)
