@@ -75,6 +75,11 @@ class AcceptanceContext:
         return self._ensembles[n]
 
     @property
+    def failures(self) -> list:
+        """Replicates that failed in every ensemble built so far."""
+        return [f for ensemble in self._ensembles.values() for f in ensemble.failures]
+
+    @property
     def exponent(self):
         if self._exponent is None:
             n_max = self.cfg.n_grid[-1]

@@ -4,7 +4,7 @@ Subcommands: ``simulate`` (design + dataset + truth + groups), ``decide``
 (posterior draws -> joint decisions), ``replicate`` (full scenario grid),
 ``calibrate`` (penalty bisection per sample size), ``rates`` (re-aggregate
 persisted replicate CSVs), ``j-estimate`` (error exponent), ``check``
-(acceptance criteria; exit code 1 on any failure).
+(acceptance criteria; exit code 1 on any failure, failed replicates included).
 """
 
 from __future__ import annotations
@@ -142,9 +142,10 @@ def _cmd_replicate(args) -> int:
             f"  n={n} {rule}: mpbfdr={report.mpbfdr!r} mpbfnr={report.mpbfnr!r} "
             f"(conditioning {report.n_conditioning_fdr}/{report.n_conditioning_fnr})"
         )
-    if args.check:
-        return _cmd_check(args)
-    return 0
+    for failure in result.manifest.failures:
+        print(f"failed: {failure}", file=sys.stderr)
+    code = _cmd_check(args) if args.check else 0
+    return 1 if result.manifest.failures else code
 
 
 def _cmd_calibrate(args) -> int:
@@ -233,7 +234,9 @@ def _cmd_check(args) -> int:
     results = run_all(ctx, numbers=wanted)
     for result in results:
         print(result.line())
-    return 0 if all(r.passed for r in results) else 1
+    for failure in ctx.failures:
+        print(f"failed: {failure}", file=sys.stderr)
+    return 0 if all(r.passed for r in results) and not ctx.failures else 1
 
 
 def main(argv=None) -> int:

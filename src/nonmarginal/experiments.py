@@ -241,6 +241,9 @@ class ReplicateFailure:
     replicate_id: int
     error: str
 
+    def __str__(self) -> str:
+        return f"replicate {self.replicate_id} at n={self.n}: {self.error}"
+
 
 @dataclass(frozen=True, eq=False)
 class MethodOutcome:
@@ -576,8 +579,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
     t0 = time.perf_counter()
     for n in cfg.n_grid:
         ensembles[n] = DecisionEnsemble(cfg, n, workers=workers)
-        for failure in ensembles[n].failures:
-            failures.append(f"replicate {failure.replicate_id} at n={failure.n}: {failure.error}")
+        failures.extend(str(failure) for failure in ensembles[n].failures)
     wallclock["posterior_sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -18,10 +18,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.signal import lfilter
 from scipy.stats import truncnorm
 
@@ -107,9 +107,16 @@ class CovariateDesign:
     def num_covariates(self) -> int:
         return self.z.shape[1] - 1
 
+    @cached_property
+    def ztz(self) -> np.ndarray:
+        """Z'Z, computed once per design."""
+        ztz = self.z.T @ self.z
+        ztz.setflags(write=False)
+        return ztz
+
     def gram(self) -> np.ndarray:
         """(Z'Z)/n, the per-observation Gram matrix."""
-        return (self.z.T @ self.z) / self.n_obs
+        return self.ztz / self.n_obs
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,14 +315,27 @@ def simulate(params: Ar1Params, design: CovariateDesign, n: int, seed=0) -> Data
 # Gibbs sampling
 # ---------------------------------------------------------------------------
 
-def _prior_precision(covariance: np.ndarray) -> np.ndarray:
+def _sufficient_statistics(data: Dataset) -> tuple:
+    """(Z'Z, Z'x, Z'x_lag, x'x, x'x_lag, x_lag'x_lag): all the data the likelihood sees."""
+    z = data.design.z
+    x = data.x
+    xl = data.lagged()
+    return data.design.ztz, z.T @ x, z.T @ xl, float(x @ x), float(x @ xl), float(xl @ xl)
+
+
+def _eigenbasis(covariance: np.ndarray, ztz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V = L W and lambda, where covariance = L L' and L' Z'Z L = W diag(lambda) W'.
+
+    Then V' covariance^-1 V = I and V' Z'Z V = diag(lambda).
+    """
     try:
-        chol = cho_factor(covariance, lower=True)
+        chol = np.linalg.cholesky(covariance)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(
             "coefficient prior covariance is not positive definite even after jitter"
         ) from exc
-    return cho_solve(chol, np.eye(covariance.shape[0]))
+    lam, w = np.linalg.eigh(chol.T @ ztz @ chol)
+    return chol @ w, lam
 
 
 def gibbs_sample(
@@ -332,29 +352,22 @@ def gibbs_sample(
     quasi-differenced response; rho given (beta, sigma2) is a univariate
     Gaussian regression of the residual on the lagged series; sigma2 given the
     rest is inverse-gamma.  Every conditional is sampled exactly, so there is
-    no step-size tuning and the per-block acceptance rate is identically one.
-
-    All the data enter through fixed sufficient statistics, making one sweep
-    O(p^2) in the number of coefficients regardless of the series length.
+    no step-size tuning.  beta = V u with V from ``_eigenbasis``, so the
+    precision of u | (rho, sigma2) is diag(lambda)/sigma2 + I for either prior
+    family, and one sweep is O(p) elementwise work on sufficient statistics
+    rotated once per chain, regardless of the series length.
     """
     if num_draws < 1:
         raise InvalidSpec("need at least one retained draw")
     if burn_in < 0 or thinning < 1:
         raise InvalidSpec("burn_in must be >= 0 and thinning >= 1")
     rng = _rng(seed)
-    z = data.design.z
-    n, p = z.shape
-    x = data.x
-    xl = data.lagged()
+    n, p = data.design.z.shape
+    ztz, ztx, ztxl, xx, xxl, xlxl = _sufficient_statistics(data)
+    basis, lam = _eigenbasis(prior.beta_covariance(data.design.num_covariates), ztz)
+    a = basis.T @ ztx
+    c = basis.T @ ztxl
 
-    ztz = z.T @ z
-    ztx = z.T @ x
-    ztxl = z.T @ xl
-    xx = float(x @ x)
-    xxl = float(x @ xl)
-    xlxl = float(xl @ xl)
-
-    prior_prec = _prior_precision(prior.beta_covariance(data.design.num_covariates))
     rho_prec0 = 1.0 / prior.rho_prior_sd**2
     shape = prior.sigma2_shape + 0.5 * n
 
@@ -364,27 +377,24 @@ def gibbs_sample(
     kept = 0
     total = burn_in + num_draws * thinning
     for sweep in range(total):
-        # beta | rho, sigma2
-        prec = ztz / sigma2 + prior_prec
-        chol = np.linalg.cholesky(prec)
-        rhs = (ztx - rho * ztxl) / sigma2
-        mean = cho_solve((chol, True), rhs)
-        beta = mean + solve_triangular(chol.T, rng.standard_normal(p), lower=False)
+        # beta = V u | rho, sigma2
+        prec = lam / sigma2 + 1.0
+        u = (a - rho * c) / sigma2 / prec + rng.standard_normal(p) / np.sqrt(prec)
 
         # rho | beta, sigma2
-        ztz_beta = ztz @ beta
+        uc = float(u @ c)
         rho_prec = xlxl / sigma2 + rho_prec0
-        rho_mean = (xxl - float(beta @ ztxl)) / sigma2 / rho_prec
+        rho_mean = (xxl - uc) / sigma2 / rho_prec
         rho = rho_mean + rng.standard_normal() / math.sqrt(rho_prec)
 
         # sigma2 | beta, rho
         ssr = (
             xx
             + rho * rho * xlxl
-            + float(beta @ ztz_beta)
+            + float(lam @ (u * u))
             - 2.0 * rho * xxl
-            - 2.0 * float(beta @ ztx)
-            + 2.0 * rho * float(beta @ ztxl)
+            - 2.0 * float(u @ a)
+            + 2.0 * rho * uc
         )
         ssr = max(ssr, 0.0)
         sigma2 = (prior.sigma2_rate + 0.5 * ssr) / rng.standard_gamma(shape)
@@ -392,14 +402,11 @@ def gibbs_sample(
         if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
             out[kept, 0] = rho
             out[kept, 1] = sigma2
-            out[kept, 2:] = beta
+            out[kept, 2:] = u
             kept += 1
 
-    diagnostics = {
-        "block_acceptance": {"beta": 1.0, "rho": 1.0, "sigma2": 1.0},
-        "sweeps": total,
-    }
-    return PosteriorDraws(out, burn_in=burn_in, thinning=thinning, diagnostics=diagnostics)
+    out[:, 2:] = out[:, 2:] @ basis.T
+    return PosteriorDraws(out, burn_in=burn_in, thinning=thinning, diagnostics={"sweeps": total})
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +425,8 @@ def log_likelihood_ratio(theta: Ar1Params, theta0: Ar1Params, data: Dataset) -> 
     p = data.design.num_covariates + 1
     if theta.num_coefficients != p or theta0.num_coefficients != p:
         raise InvalidSpec("coefficient vectors and design width disagree")
-    z = data.design.z
-    x = data.x
-    xl = data.lagged()
     n = data.n_obs
-
-    sxx = float(x @ x)
-    sll = float(xl @ xl)
-    sxl = float(x @ xl)
-    ztx = z.T @ x
-    ztxl = z.T @ xl
-    ztz = z.T @ z
+    ztz, ztx, ztxl, sxx, sxl, sll = _sufficient_statistics(data)
 
     s2, s20 = theta.sigma2, theta0.sigma2
     rho, rho0 = theta.rho, theta0.rho

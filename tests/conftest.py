@@ -1,6 +1,6 @@
 import pytest
 
-from nonmarginal import PriorConfig, ScenarioConfig
+from nonmarginal import PriorConfig, ScenarioConfig, experiments
 
 
 @pytest.fixture
@@ -17,3 +17,16 @@ def tiny_cfg():
         master_seed=123,
         prior=PriorConfig(beta_sd=5.0),
     )
+
+
+@pytest.fixture
+def replicate_1_fails(monkeypatch):
+    """Replicate 1 raises at every sample size; the others build as usual."""
+    real = experiments.build_replicate_posterior
+
+    def flaky(cfg, n, replicate_id):
+        if replicate_id == 1:
+            raise RuntimeError("synthetic failure")
+        return real(cfg, n, replicate_id)
+
+    monkeypatch.setattr(experiments, "build_replicate_posterior", flaky)

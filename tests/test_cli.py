@@ -93,3 +93,10 @@ def test_check_subcommand_runs_fast_criteria(capsys):
     assert main(["check", "--criteria", "9"]) == 0
     out = capsys.readouterr().out
     assert "criterion 9" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("command", [["replicate"], ["check", "--criteria", "2"]])
+def test_failed_replicate_fails_the_run(command, config_path, tmp_path, replicate_1_fails, capsys):
+    args = command + ["--config", config_path, "--workers", "1", "--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert "replicate 1 at n=40: RuntimeError: synthetic failure" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from nonmarginal import (
     ScenarioConfig,
     run_scenario,
 )
-from nonmarginal import experiments
 from nonmarginal.experiments import (
     aggregate_replicate_csv,
     build_replicate_posterior,
@@ -149,15 +148,7 @@ class TestDecisionEnsemble:
         frac, se = ensemble.consistency_fraction(0.5)
         assert frac == 1.0 and se == 0.0
 
-    def test_failed_replicates_are_recorded_not_fatal(self, tiny_cfg, monkeypatch):
-        real = experiments.build_replicate_posterior
-
-        def flaky(cfg, n, replicate_id):
-            if replicate_id == 1:
-                raise RuntimeError("synthetic failure")
-            return real(cfg, n, replicate_id)
-
-        monkeypatch.setattr(experiments, "build_replicate_posterior", flaky)
+    def test_failed_replicates_are_recorded_not_fatal(self, tiny_cfg, replicate_1_fails):
         ensemble = DecisionEnsemble(tiny_cfg, 40, workers=1)
         assert ensemble.replicate_count == tiny_cfg.replicates - 1
         assert len(ensemble.failures) == 1

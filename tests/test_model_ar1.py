@@ -25,7 +25,7 @@ from nonmarginal import (
 )
 from nonmarginal.model_ar1 import (
     PosteriorDraws,
-    _prior_precision,
+    _eigenbasis,
     load_dataset,
     load_design,
     load_draws,
@@ -144,7 +144,6 @@ class TestGibbs:
         a = gibbs_sample(data, PriorConfig(), num_draws=100, burn_in=20, seed=42)
         b = gibbs_sample(data, PriorConfig(), num_draws=100, burn_in=20, seed=42)
         assert np.array_equal(a.draws, b.draws)
-        assert a.diagnostics["block_acceptance"] == {"beta": 1.0, "rho": 1.0, "sigma2": 1.0}
 
     def test_sigma2_conditional_matches_exact_posterior(self):
         # with beta and rho pinned at zero the model is x_t = eps_t and
@@ -155,6 +154,24 @@ class TestGibbs:
         draws = gibbs_sample(data, prior, num_draws=8000, burn_in=200, seed=9)
         exact = stats.invgamma(2.0 + 150.0, scale=1.0 + 0.5 * float(data.x @ data.x))
         assert stats.kstest(draws.sigma2, exact.cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("family", ["independent_gaussian", "gp_decay"])
+    def test_beta_conditional_matches_exact_posterior(self, family):
+        # with rho pinned at 0 and sigma2 pinned at 2, beta | data is
+        # N(P^-1 Z'x / 2, P^-1) with P = Z'Z / 2 + Sigma0^-1 exactly
+        design = generate_design(300, 3, seed=10)
+        data = simulate(Ar1Params(0.0, 2.0, np.array([0.5, 1.0, 0.0, -0.7])), design, 300, seed=11)
+        prior = PriorConfig(
+            family=family, beta_sd=1.0, rho_prior_sd=1e-9, sigma2_shape=1e8, sigma2_rate=2e8
+        )
+        draws = gibbs_sample(data, prior, num_draws=4000, burn_in=100, seed=12)
+        z = design.z
+        precision = z.T @ z / 2.0 + np.linalg.inv(prior.beta_covariance(3))
+        mean = np.linalg.solve(precision, z.T @ data.x / 2.0)
+        white = (draws.beta - mean) @ np.linalg.cholesky(precision)
+        for i in range(white.shape[1]):
+            assert stats.kstest(white[:, i], "norm").pvalue > 1e-3, i
+        assert np.abs(np.cov(white, rowvar=False) - np.eye(4)).max() < 0.12
 
     def test_thinning_and_validation(self):
         design = generate_design(50, 1, seed=0)
@@ -168,7 +185,7 @@ class TestGibbs:
 
     def test_non_psd_prior_covariance_is_reported(self):
         with pytest.raises(NumericalFailure):
-            _prior_precision(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            _eigenbasis(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
 
 
 class TestGpDecayPrior:
