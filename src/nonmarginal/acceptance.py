@@ -60,12 +60,17 @@ class CriterionResult:
 
 
 class AcceptanceContext:
-    """Caches the expensive shared state: one posterior ensemble per sample size."""
+    """Caches the expensive shared state: one posterior ensemble per sample size.
 
-    def __init__(self, cfg: ScenarioConfig | None = None, workers: int | None = None):
+    ``ensembles`` seeds the cache with ensembles already built from ``cfg``,
+    such as those of a ``run_scenario`` result.
+    """
+
+    def __init__(self, cfg: ScenarioConfig | None = None, workers: int | None = None,
+                 ensembles: dict[int, DecisionEnsemble] | None = None):
         self.cfg = cfg if cfg is not None else ScenarioConfig()
         self.workers = workers
-        self._ensembles: dict[int, DecisionEnsemble] = {}
+        self._ensembles: dict[int, DecisionEnsemble] = dict(ensembles or {})
         self._exponent = None
         self._decay = None
 

@@ -144,7 +144,7 @@ def _cmd_replicate(args) -> int:
         )
     for failure in result.manifest.failures:
         print(f"failed: {failure}", file=sys.stderr)
-    code = _cmd_check(args) if args.check else 0
+    code = _cmd_check(args, result.ensembles) if args.check else 0
     return 1 if result.manifest.failures else code
 
 
@@ -225,12 +225,12 @@ def _cmd_j_estimate(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, ensembles=None) -> int:
     cfg = _load_config(args)
     wanted = None
     if getattr(args, "criteria", None):
         wanted = {int(tok) for tok in args.criteria.split(",")}
-    ctx = AcceptanceContext(cfg, workers=args.workers)
+    ctx = AcceptanceContext(cfg, workers=args.workers, ensembles=ensembles)
     results = run_all(ctx, numbers=wanted)
     for result in results:
         print(result.line())

@@ -15,7 +15,7 @@ annealing over bit flips.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,8 @@ class PosteriorIndicators:
 
     ind: np.ndarray
     spec: TestSpec
+    # (groups, _JointTables) of the last group structure these draws were decided under
+    _tables: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         ind = np.array(self.ind, dtype=bool)
@@ -101,8 +103,7 @@ def joint_correct_probs(
 
     For a singleton group this is exactly the marginal probability.
     """
-    tables, code = _whole_family(indicators, groups, config)
-    return np.array([tables.w(i, code) for i in range(len(config))])
+    return _tables(indicators, groups).w(config.bits)
 
 
 def penalized_objective(
@@ -111,11 +112,16 @@ def penalized_objective(
     groups: GroupStructure,
     penalty: float,
 ) -> float:
-    """sum_i d_i * (w_i(d) - penalty); zero for the all-accept configuration."""
+    """sum_i d_i * (w_i(d) - penalty); zero for the all-accept configuration.
+
+    The terms are added in hypothesis order, starting from 0.0.
+    """
     if not 0.0 <= penalty < 1.0:
         raise InvalidSpec("penalty must lie in [0, 1)")
-    tables, code = _whole_family(indicators, groups, config)
-    return float(tables.objective(code, penalty, range(len(config))))
+    total = 0.0
+    for d, w in zip(config.bits.tolist(), _tables(indicators, groups).w(config.bits).tolist()):
+        total = total + d * (w - penalty)
+    return total
 
 
 def additive_rule_at_penalty(marginals: np.ndarray, penalty: float) -> DecisionConfig:
@@ -153,64 +159,92 @@ def _decode(code: int, k: int) -> np.ndarray:
 
 
 class _JointTables:
-    """w_i(d) and the penalized objective for k hypotheses, with d an integer code.
+    """w_i(d) for every hypothesis of a family, as tables over its group.
 
-    Table ``i`` is indexed by the pattern of decisions on ``others[i]`` (bit
-    ``b`` holds the decision on ``others[i][b]``) and holds the share of draws
-    where the alternative of ``i`` holds and the indicators of ``others[i]``
-    match that pattern.  ``w`` and ``objective`` take either one Python int or
-    an int64 array of codes.
+    ``scopes[i]`` is ``sorted({i} | others_i)``.  ``shares[i]`` has one axis of
+    length two per member of ``others_i``, in increasing order, and holds the
+    share of draws where the alternative of ``i`` holds and the indicators of
+    ``others_i`` equal the decisions indexing it.  None of this depends on the
+    penalty.
     """
 
-    def __init__(self, ind: np.ndarray, others: list[np.ndarray]):
-        k = ind.shape[1]
-        self.shift = [k - 1 - j for j in range(k)]
-        self.others = [[int(j) for j in o] for o in others]
-        self.tables = []
+    def __init__(self, ind: np.ndarray, groups: GroupStructure):
         columns = ind.T.astype(np.int64)
-        for i, o in enumerate(others):
-            patterns = (1 << np.arange(len(o), dtype=np.int64)) @ columns[o]
-            counts = np.bincount(patterns, weights=columns[i], minlength=1 << len(o))
-            self.tables.append(counts / ind.shape[0])
+        self.scopes, self.shares = [], []
+        for i in range(groups.num_hypotheses):
+            others = groups.others(i)
+            n = len(others)
+            patterns = (1 << np.arange(n - 1, -1, -1, dtype=np.int64)) @ columns[others]
+            counts = np.bincount(patterns[ind[:, i]], minlength=1 << n)
+            self.scopes.append(sorted([i, *others.tolist()]))
+            self.shares.append((counts / ind.shape[0]).reshape((2,) * n))
 
-    def w(self, i: int, code):
-        pattern = 0
-        for b, j in enumerate(self.others[i]):
-            pattern = pattern | (((code >> self.shift[j]) & 1) << b)
-        return self.tables[i][pattern]
+    def w(self, bits: np.ndarray) -> np.ndarray:
+        """w_i(d) of every hypothesis at the decision vector ``bits``."""
+        if len(bits) != len(self.shares):
+            raise InvalidSpec("indicators, groups, and decision vector disagree on length")
+        d = np.asarray(bits, dtype=np.intp)
+        return np.array([
+            share[tuple(d[j] for j in scope if j != i)]
+            for i, (scope, share) in enumerate(zip(self.scopes, self.shares))
+        ])
 
-    def objective(self, code, penalty: float, hyps):
-        """sum over ``hyps`` of d_i * (w_i(d) - penalty), summed in ``hyps`` order."""
-        total = 0.0
-        for i in hyps:
-            total = total + ((code >> self.shift[i]) & 1) * (self.w(i, code) - penalty)
-        return total
-
-
-def _whole_family(indicators: PosteriorIndicators, groups: GroupStructure,
-                  config: DecisionConfig) -> tuple[_JointTables, int]:
-    h = indicators.num_hypotheses
-    if groups.num_hypotheses != h or len(config) != h:
-        raise InvalidSpec("indicators, groups, and decision vector disagree on length")
-    others = [groups.others(i) for i in range(h)]
-    return _JointTables(indicators.ind, others), _encode(config.bits)
+    def terms(self, i: int, penalty: float) -> np.ndarray:
+        """The term table T_i = d_i * (w_i - penalty), one axis per member of ``scopes[i]``."""
+        gap = self.shares[i] - penalty
+        return np.stack((0.0 * gap, gap), axis=self.scopes[i].index(i))
 
 
-def _enumerate_component(tables: _JointTables, k: int, penalty: float) -> int:
+def _tables(indicators: PosteriorIndicators, groups: GroupStructure) -> _JointTables:
+    """The table set of ``indicators`` under ``groups``: built on first use and
+    kept on the indicators, so every penalty and rule decided on the same draws
+    reads the same tables."""
+    if groups.num_hypotheses != indicators.num_hypotheses:
+        raise InvalidSpec("indicators and groups disagree on length")
+    cached = indicators._tables
+    if cached is None or cached[0] is not groups:
+        cached = (groups, _JointTables(indicators.ind, groups))
+        object.__setattr__(indicators, "_tables", cached)
+    return cached[1]
+
+
+def _local_scopes(tables: _JointTables, comp: list[int]) -> list[list[int]]:
+    # components are sorted and contain every group they touch
+    return [np.searchsorted(comp, tables.scopes[i]).tolist() for i in comp]
+
+
+def _component_values(tables: _JointTables, comp: list[int], penalty: float) -> np.ndarray:
+    """The objective at every configuration of one component.
+
+    Axis ``j`` of the (2,)*k result holds d_{comp[j]}, so the flat index of a
+    configuration is its code.  Each term table is broadcast onto the axes of
+    its scope and added in component order, starting from 0.0.
+    """
+    k = len(comp)
+    values = np.zeros((2,) * k)
+    for i, scope in zip(comp, _local_scopes(tables, comp)):
+        shape = [1] * k
+        for j in scope:
+            shape[j] = 2
+        values += tables.terms(i, penalty).reshape(shape)
+    return values
+
+
+def _enumerate_component(values: np.ndarray) -> int:
     """Exact maximization over all 2^k codes of one component.
 
     Ties are broken toward fewer rejections, then the lexicographically
     smallest bit vector, so the result is deterministic.
     """
-    codes = np.arange(1 << k, dtype=np.int64)
-    values = tables.objective(codes, penalty, range(k))
-    tied = codes[values == values.max()]
+    k = values.ndim
+    flat = values.reshape(-1)
+    tied = np.flatnonzero(flat == flat.max())
     return int(tied[np.argmin((np.bitwise_count(tied).astype(np.int64) << k) | tied)])
 
 
 def _anneal_component(
     tables: _JointTables,
-    k: int,
+    comp: list[int],
     warm_start: np.ndarray,
     penalty: float,
     config: OptimizerConfig,
@@ -222,25 +256,41 @@ def _anneal_component(
     restarts from random configurations.  Proposals are accepted with
     probability exp(delta / T) under a geometric cooling schedule.
     """
+    k = len(comp)
+    terms = [tables.terms(i, penalty).ravel().tolist() for i in comp]
+    # masks[i][j]: the bit of d_j in the flat index of term i
+    masks = [{j: 1 << (len(scope) - 1 - a) for a, j in enumerate(scope)}
+             for scope in _local_scopes(tables, comp)]
     # the terms that change when d_j flips: j itself and every i grouped with j
-    affected = [[j] + [i for i in range(k) if j in tables.others[i]] for j in range(k)]
+    affected = []
+    for j in range(k):
+        grouped = [j] + [i for i in range(k) if i != j and j in masks[i]]
+        affected.append([(i, masks[i][j]) for i in grouped])
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, component_id]))
     best_key = (math.inf,)
     for restart in range(config.restarts):
-        code = _encode(warm_start if restart == 0 else rng.random(k) < 0.5)
-        value = tables.objective(code, penalty, range(k))
+        bits = warm_start if restart == 0 else rng.random(k) < 0.5
+        code = _encode(bits)
+        patterns = [sum(m for j, m in mask.items() if bits[j]) for mask in masks]
+        value = 0.0
+        for term, pattern in zip(terms, patterns):
+            value = value + term[pattern]
         best_key = min(best_key, (-value, code.bit_count(), code))
         temperature = config.initial_temperature
         for _ in range(config.annealing_iterations):
             flip = int(rng.integers(k))
-            proposal = code ^ (1 << tables.shift[flip])
-            terms = affected[flip]
-            delta = (tables.objective(proposal, penalty, terms)
-                     - tables.objective(code, penalty, terms))
+            proposal = code ^ (1 << (k - 1 - flip))
+            after = before = 0.0
+            for i, m in affected[flip]:
+                after = after + terms[i][patterns[i] ^ m]
+                before = before + terms[i][patterns[i]]
+            delta = after - before
             best_key = min(best_key, (-(value + delta), proposal.bit_count(), proposal))
             if delta > 0 or rng.random() < math.exp(min(delta / max(temperature, 1e-300), 0.0)):
                 code = proposal
                 value += delta
+                for i, m in affected[flip]:
+                    patterns[i] ^= m
             temperature *= config.cooling_factor
     return best_key[2]
 
@@ -262,20 +312,18 @@ def optimize_decisions(
     if not 0.0 <= penalty < 1.0:
         raise InvalidSpec("penalty must lie in [0, 1)")
     h = indicators.num_hypotheses
-    if groups.num_hypotheses != h or partition.num_hypotheses != h:
+    if partition.num_hypotheses != h:
         raise InvalidSpec("indicators, groups, and partition disagree on length")
+    tables = _tables(indicators, groups)
     config = config or OptimizerConfig()
     marginals = marginal_probs(indicators)
     bits = np.zeros(h, dtype=bool)
     for cid, component in enumerate(partition.components):
         comp = list(component)
-        # components are sorted and contain every group they touch
-        others = [np.searchsorted(comp, groups.others(hyp)) for hyp in comp]
-        tables = _JointTables(indicators.ind[:, comp], others)
         k = len(comp)
         if k <= config.exact_component_limit:
-            code = _enumerate_component(tables, k, penalty)
+            code = _enumerate_component(_component_values(tables, comp, penalty))
         else:
-            code = _anneal_component(tables, k, marginals[comp] > penalty, penalty, config, cid)
+            code = _anneal_component(tables, comp, marginals[comp] > penalty, penalty, config, cid)
         bits[comp] = _decode(code, k)
     return DecisionConfig(bits)

@@ -304,7 +304,9 @@ class DecisionEnsemble:
 
     This is the common-random-numbers device: the datasets and posterior draws
     are sampled once, and every penalty (or decision rule) is evaluated on the
-    same cached indicator sets.  ``grow`` doubles the replicate budget by
+    same cached indicator sets.  The joint tables of a replicate are built at
+    its first decision and kept with its indicators, so every later penalty
+    and rule reads them.  ``grow`` doubles the replicate budget by
     appending new replicate ids, leaving existing replicates untouched.
     """
 
@@ -679,13 +681,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
         exponent_value=exponent.value,
         manifest=manifest,
     )
-
-
-def growth_vanishing_table(cfg: ScenarioConfig, rates=(0.01, 0.1, 1.0)) -> dict:
-    """m_n * exp(-n * c) along the grid, for checking the vanishing-growth claim."""
-    return {
-        c: [cfg.m_for(n) * math.exp(-n * c) for n in cfg.n_grid] for c in rates
-    }
 
 
 def aggregate_replicate_csv(path) -> FrequentistErrorReport:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nonmarginal import PriorConfig, generate_design, gibbs_sample, simulate
+from nonmarginal import PriorConfig, experiments, generate_design, gibbs_sample, simulate
 from nonmarginal.cli import main
 from nonmarginal.model_ar1 import save_draws
 
@@ -100,3 +100,19 @@ def test_failed_replicate_fails_the_run(command, config_path, tmp_path, replicat
     args = command + ["--config", config_path, "--workers", "1", "--out", str(tmp_path / "out")]
     assert main(args) == 1
     assert "replicate 1 at n=40: RuntimeError: synthetic failure" in capsys.readouterr().err
+
+
+def test_replicate_check_reuses_the_scenario_ensembles(config_path, tiny_cfg, tmp_path, monkeypatch):
+    real = experiments.build_replicate_posterior
+    built = []
+
+    def counting(cfg, n, replicate_id):
+        built.append((n, replicate_id))
+        return real(cfg, n, replicate_id)
+
+    monkeypatch.setattr(experiments, "build_replicate_posterior", counting)
+    args = ["replicate", "--config", config_path, "--workers", "1", "--out", str(tmp_path / "out"),
+            "--check", "--criteria", "2"]
+    assert main(args) in (0, 1)  # criterion 2's verdict depends on the tiny scenario's noise
+    assert len(built) == len(tiny_cfg.n_grid) * tiny_cfg.replicates == 9
+    assert len(set(built)) == 9

@@ -1,6 +1,7 @@
 """Indicators, joint probabilities, and the component-wise optimizer."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from nonmarginal import (
     penalized_objective,
     simulate,
 )
+from nonmarginal import decisions
 from nonmarginal.model_ar1 import PosteriorDraws
 
 
@@ -64,6 +66,109 @@ def _mask_oracle(indicators, groups, config):
         match = (ind[:, others] == bits[others]).all(axis=1)
         out[i] = (ind[:, i] & match).mean()
     return out
+
+
+class _CodeTables:
+    """Integer-coded tables: the reference for the optimizer's term tables.
+
+    Table ``i`` is indexed by the pattern of decisions on ``others[i]`` (bit
+    ``b`` holds the decision on ``others[i][b]``); a configuration is an int64
+    code whose bit ``k-1-j`` holds ``d_j``.  ``objective`` adds
+    ``d_i * (w_i(d) - penalty)`` in ``hyps`` order from 0.0, for one code or an
+    array of codes.
+    """
+
+    def __init__(self, ind, others):
+        k = ind.shape[1]
+        self.shift = [k - 1 - j for j in range(k)]
+        self.others = [[int(j) for j in o] for o in others]
+        self.tables = []
+        columns = ind.T.astype(np.int64)
+        for i, o in enumerate(others):
+            patterns = (1 << np.arange(len(o), dtype=np.int64)) @ columns[o]
+            counts = np.bincount(patterns, weights=columns[i], minlength=1 << len(o))
+            self.tables.append(counts / ind.shape[0])
+
+    @classmethod
+    def of_component(cls, indicators, groups, comp):
+        others = [np.searchsorted(comp, groups.others(hyp)) for hyp in comp]
+        return cls(indicators.ind[:, comp], others)
+
+    def w(self, i, code):
+        pattern = 0
+        for b, j in enumerate(self.others[i]):
+            pattern = pattern | (((code >> self.shift[j]) & 1) << b)
+        return self.tables[i][pattern]
+
+    def objective(self, code, penalty, hyps):
+        total = 0.0
+        for i in hyps:
+            total = total + ((code >> self.shift[i]) & 1) * (self.w(i, code) - penalty)
+        return total
+
+
+def _oracle_values(tables, k, penalty):
+    """The objective of every code, evaluated on ``np.arange(2**k)``."""
+    return tables.objective(np.arange(1 << k, dtype=np.int64), penalty, range(k))
+
+
+def _oracle_enumerate(values, k):
+    codes = np.arange(1 << k, dtype=np.int64)
+    tied = codes[values == values.max()]
+    return int(tied[np.argmin((np.bitwise_count(tied).astype(np.int64) << k) | tied)])
+
+
+def _oracle_anneal(tables, k, warm_start, penalty, config, component_id):
+    """Annealing that evaluates every proposal through ``_CodeTables.objective``."""
+    affected = [[j] + [i for i in range(k) if j in tables.others[i]] for j in range(k)]
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, component_id]))
+    best_key = (math.inf,)
+    for restart in range(config.restarts):
+        bits = warm_start if restart == 0 else rng.random(k) < 0.5
+        code = int("".join("1" if b else "0" for b in bits), 2)
+        value = tables.objective(code, penalty, range(k))
+        best_key = min(best_key, (-value, code.bit_count(), code))
+        temperature = config.initial_temperature
+        for _ in range(config.annealing_iterations):
+            flip = int(rng.integers(k))
+            proposal = code ^ (1 << tables.shift[flip])
+            terms = affected[flip]
+            delta = (tables.objective(proposal, penalty, terms)
+                     - tables.objective(code, penalty, terms))
+            best_key = min(best_key, (-(value + delta), proposal.bit_count(), proposal))
+            if delta > 0 or rng.random() < math.exp(min(delta / max(temperature, 1e-300), 0.0)):
+                code = proposal
+                value += delta
+            temperature *= config.cooling_factor
+    return best_key[2]
+
+
+def _oracle_optimize(indicators, groups, partition, penalty, config):
+    bits = np.zeros(indicators.num_hypotheses, dtype=bool)
+    marginals = marginal_probs(indicators)
+    for cid, component in enumerate(partition.components):
+        comp = list(component)
+        k = len(comp)
+        tables = _CodeTables.of_component(indicators, groups, comp)
+        if k <= config.exact_component_limit:
+            code = _oracle_enumerate(_oracle_values(tables, k, penalty), k)
+        else:
+            code = _oracle_anneal(tables, k, marginals[comp] > penalty, penalty, config, cid)
+        bits[comp] = [(code >> (k - 1 - j)) & 1 for j in range(k)]
+    return DecisionConfig(bits)
+
+
+def _chain_problem(blocks, draws, seed):
+    """Chain groups (i-1, i, i+1 inside each block) over random indicators."""
+    rng = np.random.default_rng(seed)
+    groups, start = [], 0
+    for size in blocks:
+        for i in range(start, start + size):
+            groups.append(frozenset(j for j in (i - 1, i, i + 1) if start <= j < start + size))
+        start += size
+    ind = _indicators_from_matrix(rng.random((draws, start)) < rng.uniform(0.05, 0.95, start))
+    structure = GroupStructure(tuple(groups))
+    return ind, structure, connected_components(structure)
 
 
 def _random_problem(rng, max_h=10):
@@ -365,6 +470,72 @@ class TestOptimizer:
                 optimize_decisions(ind, groups, partition, b).rejection_count for b in grid
             ]
             assert all(b <= a for a, b in zip(counts, counts[1:]))
+
+
+class TestTermTables:
+    """The outer sum of term tables against the integer-coded reference, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_values_and_decisions_match_the_reference_exactly(self, data):
+        h = data.draw(st.integers(2, 12), label="h")
+        s = data.draw(st.integers(1, 40), label="draws")
+        matrix = data.draw(
+            st.lists(st.lists(st.booleans(), min_size=h, max_size=h), min_size=s, max_size=s),
+            label="indicators",
+        )
+        groups = GroupStructure(
+            tuple(
+                frozenset({i}) | data.draw(
+                    st.frozensets(st.integers(0, h - 1), max_size=4), label=f"group {i}"
+                )
+                for i in range(h)
+            )
+        )
+        penalty = data.draw(
+            st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 0.95)), label="penalty"
+        )
+        ind = _indicators_from_matrix(matrix)
+        partition = connected_components(groups)
+        tables = decisions._tables(ind, groups)
+        for component in partition.components:
+            comp = list(component)
+            k = len(comp)
+            reference = _oracle_values(_CodeTables.of_component(ind, groups, comp), k, penalty)
+            values = decisions._component_values(tables, comp, penalty)
+            assert values.reshape(-1).tobytes() == reference.tobytes()
+            assert decisions._enumerate_component(values) == _oracle_enumerate(reference, k)
+        annealing = OptimizerConfig(
+            exact_component_limit=1, annealing_iterations=150, restarts=3,
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+        )
+        for config in (OptimizerConfig(), annealing):
+            found = optimize_decisions(ind, groups, partition, penalty, config)
+            assert found == _oracle_optimize(ind, groups, partition, penalty, config)
+
+    @pytest.mark.parametrize("penalty", [0.0, 0.1, 0.5])
+    def test_eighteen_member_chain_enumerates_like_the_reference(self, penalty):
+        ind, groups, partition = _chain_problem((18,), 4000, seed=18)
+        comp = list(partition.components[0])
+        reference = _oracle_values(_CodeTables.of_component(ind, groups, comp), 18, penalty)
+        values = decisions._component_values(decisions._tables(ind, groups), comp, penalty)
+        assert values.reshape(-1).tobytes() == reference.tobytes()
+        assert decisions._enumerate_component(values) == _oracle_enumerate(reference, 18)
+
+    def test_twenty_four_member_chain_anneals_like_the_reference(self):
+        ind, groups, partition = _chain_problem((24,), 4000, seed=24)
+        config = OptimizerConfig(seed=3)
+        assert config.exact_component_limit < 24
+        found = optimize_decisions(ind, groups, partition, 0.5, config)
+        assert found == _oracle_optimize(ind, groups, partition, 0.5, config)
+
+    def test_tables_are_built_once_per_group_structure(self):
+        ind, groups, partition = _chain_problem((5, 3), 200, seed=1)
+        first = decisions._tables(ind, groups)
+        optimize_decisions(ind, groups, partition, 0.3)
+        joint_correct_probs(ind, groups, DecisionConfig.all_reject(8))
+        assert decisions._tables(ind, groups) is first
+        assert decisions._tables(ind, GroupStructure.singletons(8)) is not first
 
 
 class TestAllEncompassingGroups:

@@ -16,7 +16,6 @@ from nonmarginal import (
 from nonmarginal.experiments import (
     aggregate_replicate_csv,
     build_replicate_posterior,
-    growth_vanishing_table,
 )
 
 
@@ -59,19 +58,6 @@ class TestScenarioConfig:
     def test_ultra_with_gaussian_prior_warns(self):
         with pytest.warns(UserWarning):
             ScenarioConfig(growth="ultra", growth_coefficient=0.001, active_indices=(1,))
-
-    def test_growth_vanishes_against_exponentials(self, tiny_cfg):
-        for cfg in (
-            tiny_cfg,
-            ScenarioConfig(
-                n_grid=(250, 500, 1000, 2000), growth="ultra", growth_coefficient=0.01,
-                active_indices=(1,), prior=PriorConfig(family="gp_decay"),
-            ),
-        ):
-            table = growth_vanishing_table(cfg, rates=(0.05, 0.5))
-            for values in table.values():
-                assert values[-1] == min(values)
-                assert values[-1] < 1e-2
 
 
 class TestGroupFileOverride:
