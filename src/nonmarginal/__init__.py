@@ -20,7 +20,6 @@ from .calibration import (
     mpbfdr_curve,
 )
 from .decisions import (
-    OptimizerConfig,
     PosteriorIndicators,
     additive_rule,
     additive_rule_at_penalty,

@@ -108,7 +108,7 @@ def _cmd_decide(args) -> int:
     )
     partition = connected_components(groups)
     indicators = alternative_indicators(draws, spec)
-    config = optimize_decisions(indicators, groups, partition, penalty, cfg.optimizer_config())
+    config = optimize_decisions(indicators, groups, partition, penalty)
     objective = penalized_objective(config, indicators, groups, penalty)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -226,6 +226,8 @@ def _cmd_j_estimate(args) -> int:
 
 
 def _cmd_check(args, ensembles=None) -> int:
+    """Run the acceptance criteria.  ``ensembles`` come from a ``replicate``
+    run, which has already printed their failures."""
     cfg = _load_config(args)
     wanted = None
     if getattr(args, "criteria", None):
@@ -234,8 +236,10 @@ def _cmd_check(args, ensembles=None) -> int:
     results = run_all(ctx, numbers=wanted)
     for result in results:
         print(result.line())
+    reported = [f for ensemble in (ensembles or {}).values() for f in ensemble.failures]
     for failure in ctx.failures:
-        print(f"failed: {failure}", file=sys.stderr)
+        if failure not in reported:
+            print(f"failed: {failure}", file=sys.stderr)
     return 0 if all(r.passed for r in results) and not ctx.failures else 1
 
 

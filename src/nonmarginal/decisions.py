@@ -8,19 +8,26 @@ where ``w_i(d)`` is the posterior probability that hypothesis ``i``'s
 alternative holds jointly with every other decision in its dependency group
 being correct.  Each summand depends on ``d`` only through the group of ``i``,
 so the maximization splits exactly across connected components of the group
-graph: small components are enumerated, large ones fall back to simulated
-annealing over bit flips.
+graph.  Every ``w_i(d)`` is a count of the same ``N`` draws divided by ``N``,
+so each component is solved once in integers for every rejection count, and a
+penalty then picks its rejection count by an exact rational comparison.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import InvalidSpec
-from .hypotheses import ComponentPartition, DecisionConfig, GroupStructure, TestSpec
+from .hypotheses import (
+    GROUP_TABLE_BUDGET,
+    ComponentPartition,
+    DecisionConfig,
+    GroupStructure,
+    TestSpec,
+)
 from .model_ar1 import PosteriorDraws
 
 
@@ -51,24 +58,15 @@ class PosteriorIndicators:
         return self.ind.shape[1]
 
 
-@dataclass(frozen=True)
 class OptimizerConfig:
-    """Exact-enumeration threshold and annealing schedule for large components."""
+    """Read only by the benchmark tracer under ``bench/``: every component is
+    solved exactly, so no component reaches the limit and nothing is
+    annealed.  Delete it with the benchmark change that retires
+    ``components_annealed``, ``anneal_steps`` and ``enumerated_configs``."""
 
-    exact_component_limit: int = 20
-    annealing_iterations: int = 4000
-    initial_temperature: float = 1.0
-    cooling_factor: float = 0.995
-    restarts: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 1 <= self.exact_component_limit <= 24:
-            raise InvalidSpec("exact_component_limit must lie in [1, 24] (enumeration memory)")
-        if not 0.0 < self.cooling_factor < 1.0:
-            raise InvalidSpec("cooling_factor must lie inside (0, 1)")
-        if self.annealing_iterations < 1 or self.restarts < 1:
-            raise InvalidSpec("annealing needs at least one iteration and one restart")
+    exact_component_limit = sys.maxsize
+    restarts = 0
+    annealing_iterations = 0
 
 
 def alternative_indicators(draws: PosteriorDraws, spec: TestSpec) -> PosteriorIndicators:
@@ -141,64 +139,52 @@ def additive_rule(marginals: np.ndarray, cost: float) -> DecisionConfig:
     return additive_rule_at_penalty(marginals, cost / (1.0 + cost))
 
 
+
+
 # ---------------------------------------------------------------------------
-# component-wise maximization
+# exact component-wise maximization
 # ---------------------------------------------------------------------------
-
-def _encode(bits) -> int:
-    """Integer code of a bit vector: bit k-1-j holds d_j, so integer order is
-    lexicographic order of (d_0, d_1, ...)."""
-    code = 0
-    for b in bits:
-        code = (code << 1) | bool(b)
-    return code
-
-
-def _decode(code: int, k: int) -> np.ndarray:
-    return np.array([(code >> s) & 1 for s in range(k - 1, -1, -1)], dtype=bool)
-
 
 class _JointTables:
-    """w_i(d) for every hypothesis of a family, as tables over its group.
+    """The draw counts behind w_i(d) for every hypothesis of a family.
 
-    ``scopes[i]`` is ``sorted({i} | others_i)``.  ``shares[i]`` has one axis of
-    length two per member of ``others_i``, in increasing order, and holds the
-    share of draws where the alternative of ``i`` holds and the indicators of
-    ``others_i`` equal the decisions indexing it.  None of this depends on the
-    penalty.
+    ``counts[i]`` has one axis of length two per member of ``others[i]``, in
+    increasing order, and counts the draws where the alternative of ``i``
+    holds and the indicators of ``others[i]`` equal the decisions indexing it.
+    None of this depends on the penalty, and neither do the component
+    profiles kept in ``profiles``.
     """
 
     def __init__(self, ind: np.ndarray, groups: GroupStructure):
         columns = ind.T.astype(np.int64)
-        self.scopes, self.shares = [], []
+        self.num_draws = ind.shape[0]
+        self.others, self.counts = [], []
+        self.profiles: dict[tuple[int, ...], _Profile] = {}
         for i in range(groups.num_hypotheses):
             others = groups.others(i)
             n = len(others)
             patterns = (1 << np.arange(n - 1, -1, -1, dtype=np.int64)) @ columns[others]
-            counts = np.bincount(patterns[ind[:, i]], minlength=1 << n)
-            self.scopes.append(sorted([i, *others.tolist()]))
-            self.shares.append((counts / ind.shape[0]).reshape((2,) * n))
+            self.others.append(others.tolist())
+            self.counts.append(np.bincount(patterns[ind[:, i]], minlength=1 << n).reshape((2,) * n))
 
     def w(self, bits: np.ndarray) -> np.ndarray:
         """w_i(d) of every hypothesis at the decision vector ``bits``."""
-        if len(bits) != len(self.shares):
+        if len(bits) != len(self.counts):
             raise InvalidSpec("indicators, groups, and decision vector disagree on length")
         d = np.asarray(bits, dtype=np.intp)
-        return np.array([
-            share[tuple(d[j] for j in scope if j != i)]
-            for i, (scope, share) in enumerate(zip(self.scopes, self.shares))
-        ])
+        hits = [count[tuple(d[others])] for count, others in zip(self.counts, self.others)]
+        return np.array(hits, dtype=np.int64) / self.num_draws
 
-    def terms(self, i: int, penalty: float) -> np.ndarray:
-        """The term table T_i = d_i * (w_i - penalty), one axis per member of ``scopes[i]``."""
-        gap = self.shares[i] - penalty
-        return np.stack((0.0 * gap, gap), axis=self.scopes[i].index(i))
+    def profile(self, component: tuple[int, ...]) -> "_Profile":
+        if component not in self.profiles:
+            self.profiles[component] = _Profile(self, list(component))
+        return self.profiles[component]
 
 
 def _tables(indicators: PosteriorIndicators, groups: GroupStructure) -> _JointTables:
     """The table set of ``indicators`` under ``groups``: built on first use and
     kept on the indicators, so every penalty and rule decided on the same draws
-    reads the same tables."""
+    reads the same tables and profiles."""
     if groups.num_hypotheses != indicators.num_hypotheses:
         raise InvalidSpec("indicators and groups disagree on length")
     cached = indicators._tables
@@ -208,91 +194,80 @@ def _tables(indicators: PosteriorIndicators, groups: GroupStructure) -> _JointTa
     return cached[1]
 
 
-def _local_scopes(tables: _JointTables, comp: list[int]) -> list[list[int]]:
-    # components are sorted and contain every group they touch
-    return [np.searchsorted(comp, tables.scopes[i]).tolist() for i in comp]
+class _Profile:
+    """One component solved at every penalty at once.
 
-
-def _component_values(tables: _JointTables, comp: list[int], penalty: float) -> np.ndarray:
-    """The objective at every configuration of one component.
-
-    Axis ``j`` of the (2,)*k result holds d_{comp[j]}, so the flat index of a
-    configuration is its code.  Each term table is broadcast onto the axes of
-    its scope and added in component order, starting from 0.0.
+    On a component with local positions ``0..k-1`` the objective times ``N``
+    is ``C(d) - N*penalty*|d|`` with the integer ``C(d) = sum_j d_j c_j(d)``.
+    ``best[r]`` is ``C*_r = max{C(d) : |d| = r}``.  It comes from a backward
+    pass in index order: the term of ``j`` is charged at the last position of
+    its scope, and the state at position ``j`` is the decisions on the
+    frontier ``F_j`` plus the rejections still to make.  ``zero_ok[j]`` marks
+    the states where ``d_j = 0`` still reaches the optimum, so the forward
+    decode in ``decision`` returns the lexicographically smallest optimal
+    vector with a given rejection count.
     """
-    k = len(comp)
-    values = np.zeros((2,) * k)
-    for i, scope in zip(comp, _local_scopes(tables, comp)):
-        shape = [1] * k
-        for j in scope:
-            shape[j] = 2
-        values += tables.terms(i, penalty).reshape(shape)
-    return values
 
+    def __init__(self, tables: _JointTables, comp: list[int]):
+        k = len(comp)
+        self.num_draws = tables.num_draws
+        # components are sorted and contain every group they touch, so local
+        # order is global order and count axes stay in scope order
+        scopes = [np.searchsorted(comp, sorted([h, *tables.others[h]])).tolist() for h in comp]
+        ending = [[] for _ in comp]
+        for i, scope in enumerate(scopes):
+            ending[scope[-1]].append(i)
+        # F_j: the positions before j that a term charged at j or later reads
+        self.frontiers, frontier = [None] * k, set()
+        for j in reversed(range(k)):
+            for i in ending[j]:
+                frontier.update(scopes[i])
+            frontier.discard(j)
+            self.frontiers[j] = sorted(frontier)
+        # both branches of d_j, over the frontier states and the rejection counts
+        entries = sum((2 << len(f)) * (k - j + 1) for j, f in enumerate(self.frontiers))
+        if entries > GROUP_TABLE_BUDGET:
+            raise InvalidSpec(
+                f"the {k}-member component starting at hypothesis {comp[0]} needs {entries} "
+                f"decision table entries (largest frontier {max(map(len, self.frontiers))}), "
+                f"over the budget of {GROUP_TABLE_BUDGET}"
+            )
+        self.zero_ok = [None] * k
+        value, value_axes = np.zeros(1, dtype=np.int64), []
+        for j in reversed(range(k)):
+            axes = self.frontiers[j] + [j]
+            gain = np.zeros((2,) * len(axes), dtype=np.int64)
+            for i in ending[j]:
+                count = tables.counts[comp[i]]
+                term = np.stack((np.zeros_like(count), count), axis=scopes[i].index(i))
+                gain += term.reshape([2 if a in scopes[i] else 1 for a in axes])
+            later = value.reshape([2 if a in value_axes else 1 for a in axes] + [k - j])
+            # when d_j is not in F_{j+1}, its axis in later has one row, for both branches
+            stay = gain[..., 0, None] + later[..., 0, :]
+            take = gain[..., 1, None] + later[..., -1, :]
+            # C(d) >= 0, so -1 marks a rejection count that cannot be reached
+            unreachable = np.full(stay.shape[:-1] + (1,), -1, dtype=np.int64)
+            stay = np.concatenate((stay, unreachable), axis=-1)
+            value = np.maximum(stay, np.concatenate((unreachable, take), axis=-1))
+            self.zero_ok[j] = stay == value
+            value_axes = self.frontiers[j]
+        self.best = value.tolist()
 
-def _enumerate_component(values: np.ndarray) -> int:
-    """Exact maximization over all 2^k codes of one component.
+    def rejections(self, penalty: float) -> int:
+        """``argmax_r C*_r - N*penalty*r``, exact for the float ``penalty``;
+        the fewest rejections win a tie."""
+        p, q = float(penalty).as_integer_ratio()
+        scores = [q * c - p * self.num_draws * r for r, c in enumerate(self.best)]
+        return scores.index(max(scores))
 
-    Ties are broken toward fewer rejections, then the lexicographically
-    smallest bit vector, so the result is deterministic.
-    """
-    k = values.ndim
-    flat = values.reshape(-1)
-    tied = np.flatnonzero(flat == flat.max())
-    return int(tied[np.argmin((np.bitwise_count(tied).astype(np.int64) << k) | tied)])
-
-
-def _anneal_component(
-    tables: _JointTables,
-    comp: list[int],
-    warm_start: np.ndarray,
-    penalty: float,
-    config: OptimizerConfig,
-    component_id: int,
-) -> int:
-    """Simulated annealing over single-bit flips; returns the best code visited.
-
-    Restart 0 starts from the marginal thresholding warm start, the remaining
-    restarts from random configurations.  Proposals are accepted with
-    probability exp(delta / T) under a geometric cooling schedule.
-    """
-    k = len(comp)
-    terms = [tables.terms(i, penalty).ravel().tolist() for i in comp]
-    # masks[i][j]: the bit of d_j in the flat index of term i
-    masks = [{j: 1 << (len(scope) - 1 - a) for a, j in enumerate(scope)}
-             for scope in _local_scopes(tables, comp)]
-    # the terms that change when d_j flips: j itself and every i grouped with j
-    affected = []
-    for j in range(k):
-        grouped = [j] + [i for i in range(k) if i != j and j in masks[i]]
-        affected.append([(i, masks[i][j]) for i in grouped])
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, component_id]))
-    best_key = (math.inf,)
-    for restart in range(config.restarts):
-        bits = warm_start if restart == 0 else rng.random(k) < 0.5
-        code = _encode(bits)
-        patterns = [sum(m for j, m in mask.items() if bits[j]) for mask in masks]
-        value = 0.0
-        for term, pattern in zip(terms, patterns):
-            value = value + term[pattern]
-        best_key = min(best_key, (-value, code.bit_count(), code))
-        temperature = config.initial_temperature
-        for _ in range(config.annealing_iterations):
-            flip = int(rng.integers(k))
-            proposal = code ^ (1 << (k - 1 - flip))
-            after = before = 0.0
-            for i, m in affected[flip]:
-                after = after + terms[i][patterns[i] ^ m]
-                before = before + terms[i][patterns[i]]
-            delta = after - before
-            best_key = min(best_key, (-(value + delta), proposal.bit_count(), proposal))
-            if delta > 0 or rng.random() < math.exp(min(delta / max(temperature, 1e-300), 0.0)):
-                code = proposal
-                value += delta
-                for i, m in affected[flip]:
-                    patterns[i] ^= m
-            temperature *= config.cooling_factor
-    return best_key[2]
+    def decision(self, r: int) -> list[int]:
+        """The lexicographically smallest ``d`` with ``|d| = r`` and ``C(d) = C*_r``."""
+        bits = []
+        for j, frontier in enumerate(self.frontiers):
+            bit = 0 if self.zero_ok[j][(*(bits[a] for a in frontier), r)] else 1
+            bits.append(bit)
+            r -= bit
+        return bits
 
 
 def optimize_decisions(
@@ -300,14 +275,12 @@ def optimize_decisions(
     groups: GroupStructure,
     partition: ComponentPartition,
     penalty: float,
-    config: OptimizerConfig | None = None,
 ) -> DecisionConfig:
-    """Maximize the penalized objective component by component.
+    """Maximize the penalized objective exactly, component by component.
 
-    Components up to ``exact_component_limit`` hypotheses are solved by
-    exhaustive enumeration; larger ones by seeded simulated annealing.  Ties go
-    to the configuration with fewest rejections, then the lexicographically
-    smallest bit vector.
+    Ties go to the configuration with fewest rejections, then the
+    lexicographically smallest bit vector.  A component whose decision tables
+    would exceed ``GROUP_TABLE_BUDGET`` entries raises ``InvalidSpec``.
     """
     if not 0.0 <= penalty < 1.0:
         raise InvalidSpec("penalty must lie in [0, 1)")
@@ -315,15 +288,8 @@ def optimize_decisions(
     if partition.num_hypotheses != h:
         raise InvalidSpec("indicators, groups, and partition disagree on length")
     tables = _tables(indicators, groups)
-    config = config or OptimizerConfig()
-    marginals = marginal_probs(indicators)
     bits = np.zeros(h, dtype=bool)
-    for cid, component in enumerate(partition.components):
-        comp = list(component)
-        k = len(comp)
-        if k <= config.exact_component_limit:
-            code = _enumerate_component(_component_values(tables, comp, penalty))
-        else:
-            code = _anneal_component(tables, comp, marginals[comp] > penalty, penalty, config, cid)
-        bits[comp] = _decode(code, k)
+    for component in partition.components:
+        profile = tables.profile(component)
+        bits[list(component)] = profile.decision(profile.rejections(penalty))
     return DecisionConfig(bits)

@@ -173,7 +173,8 @@ class ScenarioConfig:
         return Ar1Params(rho=self.rho0, sigma2=self.sigma0_sq, beta=beta)
 
     def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(seed=self.master_seed)
+        """Read only by ``bench/``; goes with ``OptimizerConfig``."""
+        return OptimizerConfig()
 
     def to_dict(self) -> dict:
         payload = asdict(self)
@@ -304,10 +305,11 @@ class DecisionEnsemble:
 
     This is the common-random-numbers device: the datasets and posterior draws
     are sampled once, and every penalty (or decision rule) is evaluated on the
-    same cached indicator sets.  The joint tables of a replicate are built at
-    its first decision and kept with its indicators, so every later penalty
-    and rule reads them.  ``grow`` doubles the replicate budget by
-    appending new replicate ids, leaving existing replicates untouched.
+    same cached indicator sets.  The joint tables and component profiles of a
+    replicate are built at its first decision and kept with its indicators,
+    so every later penalty and rule reads them.  ``grow`` doubles the
+    replicate budget by appending new replicate ids, leaving existing
+    replicates untouched.
     """
 
     def __init__(self, cfg: ScenarioConfig, n: int, replicates: int | None = None,
@@ -353,9 +355,7 @@ class DecisionEnsemble:
 
     def _decide_one(self, rep: ReplicatePosterior, rule: str, penalty: float) -> MethodOutcome:
         if rule == "nonmarginal":
-            config = optimize_decisions(
-                rep.indicators, self.groups, self.partition, penalty, self.cfg.optimizer_config()
-            )
+            config = optimize_decisions(rep.indicators, self.groups, self.partition, penalty)
         elif rule == "additive":
             config = additive_rule_at_penalty(rep.marginals, penalty)
         elif rule == "all_reject":

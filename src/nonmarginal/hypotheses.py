@@ -65,11 +65,6 @@ class TestSpec:
     def num_hypotheses(self) -> int:
         return int(self.include_rho_test) + self.num_covariates + 1
 
-    @property
-    def rho_hypothesis(self) -> int | None:
-        """Index of the autoregression hypothesis, or None when disabled."""
-        return 0 if self.include_rho_test else None
-
     def coefficient_hypothesis(self, coefficient: int) -> int:
         """Hypothesis index of coefficient ``coefficient`` (0 = intercept)."""
         if not 0 <= coefficient <= self.num_covariates:

@@ -587,24 +587,10 @@ def save_design(path, design: CovariateDesign) -> None:
     _write_sidecar(path, {"centered": design.centered, "descriptor": design.descriptor})
 
 
-def load_design(path) -> CovariateDesign:
-    path = Path(path)
-    z = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    meta = _read_sidecar(path)
-    return CovariateDesign(z=z, centered=meta.get("centered", False), descriptor=meta.get("descriptor", {}))
-
-
 def save_dataset(path, data: Dataset) -> None:
     path = Path(path)
     np.savetxt(path, data.x, delimiter=",", header="x", comments="", fmt="%.17g")
     _write_sidecar(path, {"seed": data.seed, "x0": data.x0, "design": data.design.descriptor})
-
-
-def load_dataset(path, design: CovariateDesign) -> Dataset:
-    path = Path(path)
-    x = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=1)
-    meta = _read_sidecar(path)
-    return Dataset(x=x, design=design, seed=meta.get("seed", -1))
 
 
 def save_draws(path, draws: PosteriorDraws) -> None:

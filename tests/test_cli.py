@@ -95,11 +95,18 @@ def test_check_subcommand_runs_fast_criteria(capsys):
     assert "criterion 9" in out and "PASS" in out
 
 
-@pytest.mark.parametrize("command", [["replicate"], ["check", "--criteria", "2"]])
-def test_failed_replicate_fails_the_run(command, config_path, tmp_path, replicate_1_fails, capsys):
+@pytest.mark.parametrize(
+    "command",
+    [["replicate"], ["check", "--criteria", "2"], ["replicate", "--check", "--criteria", "2"]],
+)
+def test_failed_replicate_fails_the_run(command, config_path, tiny_cfg, tmp_path,
+                                        replicate_1_fails, capsys):
     args = command + ["--config", config_path, "--workers", "1", "--out", str(tmp_path / "out")]
     assert main(args) == 1
-    assert "replicate 1 at n=40: RuntimeError: synthetic failure" in capsys.readouterr().err
+    failed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("failed:")]
+    assert sorted(failed) == sorted(
+        f"failed: replicate 1 at n={n}: RuntimeError: synthetic failure" for n in tiny_cfg.n_grid
+    )
 
 
 def test_replicate_check_reuses_the_scenario_ensembles(config_path, tiny_cfg, tmp_path, monkeypatch):

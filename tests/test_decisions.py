@@ -1,7 +1,7 @@
 """Indicators, joint probabilities, and the component-wise optimizer."""
 
-import itertools
-import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from nonmarginal import (
     DecisionConfig,
     GroupStructure,
     InvalidSpec,
-    OptimizerConfig,
     PosteriorIndicators,
     PriorConfig,
     TestSpec,
@@ -45,15 +44,46 @@ def _indicators_from_matrix(matrix):
     return PosteriorIndicators(matrix, spec)
 
 
+def _component_hits(indicators, groups, members):
+    """C(d) = sum_j d_j c_j(d) at every code of a sorted set of hypotheses that
+    contains every group it touches, counted with masks in int64.  Bit
+    ``k-1-j`` of a code holds the decision on ``members[j]``, so code order is
+    lexicographic order."""
+    ind = indicators.ind[:, members]
+    k = len(members)
+    bits = (np.arange(1 << k, dtype=np.int64)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    hits = np.zeros(1 << k, dtype=np.int64)
+    for j, hyp in enumerate(members):
+        others = np.searchsorted(members, groups.others(hyp))
+        weights = 1 << np.arange(len(others), dtype=np.int64)
+        counts = np.bincount(ind[ind[:, j]][:, others].astype(np.int64) @ weights,
+                             minlength=1 << len(others))
+        hits += bits[:, j] * counts[bits[:, others] @ weights]
+    return hits
+
+
 def _brute_force(indicators, groups, penalty):
-    best_key, best_bits = None, None
-    for assignment in itertools.product((False, True), repeat=indicators.num_hypotheses):
-        bits = np.array(assignment, dtype=bool)
-        value = penalized_objective(DecisionConfig(bits), indicators, groups, penalty)
-        key = (value, -int(bits.sum()), tuple(-int(b) for b in bits))
+    """Exact brute force over the whole family, independent of the solver: the
+    largest objective as a Fraction, then the fewest rejections, then the
+    first vector in lexicographic order."""
+    h = indicators.num_hypotheses
+    hits = _component_hits(indicators, groups, list(range(h))).tolist()
+    beta = Fraction(penalty)
+    best_key, best_code = None, None
+    for code, c in enumerate(hits):
+        key = (Fraction(c, indicators.num_draws) - beta * code.bit_count(), -code.bit_count())
         if best_key is None or key > best_key:
-            best_key, best_bits = key, bits
-    return DecisionConfig(best_bits), best_key[0]
+            best_key, best_code = key, code
+    bits = [(best_code >> (h - 1 - j)) & 1 for j in range(h)]
+    return DecisionConfig(np.array(bits, dtype=bool)), best_key[0]
+
+
+def _exact_objective(config, indicators, groups, penalty):
+    """The objective of one configuration as a Fraction, by masks."""
+    correct = indicators.ind == config.bits
+    hits = sum(int(correct[:, sorted(groups.groups[i])].all(axis=1).sum())
+               for i in np.flatnonzero(config.bits))
+    return Fraction(hits, indicators.num_draws) - Fraction(penalty) * config.rejection_count
 
 
 def _mask_oracle(indicators, groups, config):
@@ -66,96 +96,6 @@ def _mask_oracle(indicators, groups, config):
         match = (ind[:, others] == bits[others]).all(axis=1)
         out[i] = (ind[:, i] & match).mean()
     return out
-
-
-class _CodeTables:
-    """Integer-coded tables: the reference for the optimizer's term tables.
-
-    Table ``i`` is indexed by the pattern of decisions on ``others[i]`` (bit
-    ``b`` holds the decision on ``others[i][b]``); a configuration is an int64
-    code whose bit ``k-1-j`` holds ``d_j``.  ``objective`` adds
-    ``d_i * (w_i(d) - penalty)`` in ``hyps`` order from 0.0, for one code or an
-    array of codes.
-    """
-
-    def __init__(self, ind, others):
-        k = ind.shape[1]
-        self.shift = [k - 1 - j for j in range(k)]
-        self.others = [[int(j) for j in o] for o in others]
-        self.tables = []
-        columns = ind.T.astype(np.int64)
-        for i, o in enumerate(others):
-            patterns = (1 << np.arange(len(o), dtype=np.int64)) @ columns[o]
-            counts = np.bincount(patterns, weights=columns[i], minlength=1 << len(o))
-            self.tables.append(counts / ind.shape[0])
-
-    @classmethod
-    def of_component(cls, indicators, groups, comp):
-        others = [np.searchsorted(comp, groups.others(hyp)) for hyp in comp]
-        return cls(indicators.ind[:, comp], others)
-
-    def w(self, i, code):
-        pattern = 0
-        for b, j in enumerate(self.others[i]):
-            pattern = pattern | (((code >> self.shift[j]) & 1) << b)
-        return self.tables[i][pattern]
-
-    def objective(self, code, penalty, hyps):
-        total = 0.0
-        for i in hyps:
-            total = total + ((code >> self.shift[i]) & 1) * (self.w(i, code) - penalty)
-        return total
-
-
-def _oracle_values(tables, k, penalty):
-    """The objective of every code, evaluated on ``np.arange(2**k)``."""
-    return tables.objective(np.arange(1 << k, dtype=np.int64), penalty, range(k))
-
-
-def _oracle_enumerate(values, k):
-    codes = np.arange(1 << k, dtype=np.int64)
-    tied = codes[values == values.max()]
-    return int(tied[np.argmin((np.bitwise_count(tied).astype(np.int64) << k) | tied)])
-
-
-def _oracle_anneal(tables, k, warm_start, penalty, config, component_id):
-    """Annealing that evaluates every proposal through ``_CodeTables.objective``."""
-    affected = [[j] + [i for i in range(k) if j in tables.others[i]] for j in range(k)]
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, component_id]))
-    best_key = (math.inf,)
-    for restart in range(config.restarts):
-        bits = warm_start if restart == 0 else rng.random(k) < 0.5
-        code = int("".join("1" if b else "0" for b in bits), 2)
-        value = tables.objective(code, penalty, range(k))
-        best_key = min(best_key, (-value, code.bit_count(), code))
-        temperature = config.initial_temperature
-        for _ in range(config.annealing_iterations):
-            flip = int(rng.integers(k))
-            proposal = code ^ (1 << tables.shift[flip])
-            terms = affected[flip]
-            delta = (tables.objective(proposal, penalty, terms)
-                     - tables.objective(code, penalty, terms))
-            best_key = min(best_key, (-(value + delta), proposal.bit_count(), proposal))
-            if delta > 0 or rng.random() < math.exp(min(delta / max(temperature, 1e-300), 0.0)):
-                code = proposal
-                value += delta
-            temperature *= config.cooling_factor
-    return best_key[2]
-
-
-def _oracle_optimize(indicators, groups, partition, penalty, config):
-    bits = np.zeros(indicators.num_hypotheses, dtype=bool)
-    marginals = marginal_probs(indicators)
-    for cid, component in enumerate(partition.components):
-        comp = list(component)
-        k = len(comp)
-        tables = _CodeTables.of_component(indicators, groups, comp)
-        if k <= config.exact_component_limit:
-            code = _oracle_enumerate(_oracle_values(tables, k, penalty), k)
-        else:
-            code = _oracle_anneal(tables, k, marginals[comp] > penalty, penalty, config, cid)
-        bits[comp] = [(code >> (k - 1 - j)) & 1 for j in range(k)]
-    return DecisionConfig(bits)
 
 
 def _chain_problem(blocks, draws, seed):
@@ -366,6 +306,17 @@ class TestOptimizer:
         expected = additive_rule_at_penalty(marginal_probs(ind), 0.35)
         assert found == expected
 
+    def test_singleton_compares_the_exact_share_with_the_float_penalty(self):
+        # 1200/4000 is exactly 3/10, above the double nearest 0.3; as floats the
+        # share and the penalty are the same double, so the additive rule accepts
+        matrix = np.zeros((4000, 3), dtype=bool)
+        matrix[:1200, 1] = True
+        ind = _indicators_from_matrix(matrix)
+        groups = GroupStructure.singletons(3)
+        found = optimize_decisions(ind, groups, connected_components(groups), 0.3)
+        assert found.bits.tolist() == [False, True, False]
+        assert not additive_rule_at_penalty(marginal_probs(ind), 0.3).bits[1]
+
     def test_two_hypotheses_joint_case_matches_enumeration(self):
         ind = _indicators_from_matrix([[1, 1], [1, 0], [0, 1], [1, 1]])
         groups = GroupStructure((frozenset({0, 1}), frozenset({0, 1})))
@@ -373,16 +324,16 @@ class TestOptimizer:
         found = optimize_decisions(ind, groups, partition, 0.3)
         oracle, oracle_value = _brute_force(ind, groups, 0.3)
         assert found == oracle
-        assert penalized_objective(found, ind, groups, 0.3) == pytest.approx(oracle_value)
+        assert _exact_objective(found, ind, groups, 0.3) == oracle_value
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             ind, groups, penalty = _random_problem(rng)
             partition = connected_components(groups)
-            found = optimize_decisions(ind, groups, partition, penalty, OptimizerConfig(seed=0))
+            found = optimize_decisions(ind, groups, partition, penalty)
             oracle, oracle_value = _brute_force(ind, groups, penalty)
-            assert abs(penalized_objective(found, ind, groups, penalty) - oracle_value) <= 1e-12
+            assert _exact_objective(found, ind, groups, penalty) == oracle_value
             assert found == oracle
 
     def test_tie_breaks_prefer_fewer_rejections_then_lexicographic(self):
@@ -402,10 +353,40 @@ class TestOptimizer:
         oracle, _ = _brute_force(tied, joint, 0.1)
         assert best == oracle
 
-    @pytest.mark.parametrize("exact_limit", [20, 1])
-    def test_all_configurations_tie_at_zero_penalty_and_accept_all(self, exact_limit):
+    @pytest.mark.parametrize(
+        "matrix, groups, penalty, expected",
+        [
+            # a float sum of the terms puts rejecting hypothesis 1 above its exact 0
+            (
+                [[0, 0, 1, 0, 1], [0, 0, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 0, 1],
+                 [0, 0, 0, 0, 1], [0, 1, 1, 0, 1], [0, 0, 0, 0, 1], [0, 1, 0, 0, 1],
+                 [1, 0, 1, 0, 1], [1, 0, 1, 0, 1], [0, 0, 1, 0, 1], [0, 0, 1, 0, 1]],
+                [[0, 3, 4], [1], [0, 2, 3, 4], [1, 3], [0, 1, 2, 4]],
+                0.0,
+                [0, 0, 1, 0, 1],
+            ),
+            # four rejections sum to exactly zero, the value of accepting everything
+            (
+                [[0, 0, 0, 0, 1, 0], [0, 1, 0, 1, 1, 1], [1, 0, 1, 1, 1, 1],
+                 [0, 0, 1, 1, 1, 0], [1, 0, 0, 0, 0, 0]],
+                [[0, 5], [1], [0, 2], [3, 4, 5], [0, 1, 2, 4], [0, 1, 4, 5]],
+                0.25,
+                [0, 0, 0, 0, 0, 0],
+            ),
+        ],
+        ids=["zero_penalty", "quarter_penalty"],
+    )
+    def test_exact_ties_follow_the_tie_rule(self, matrix, groups, penalty, expected):
+        ind = _indicators_from_matrix(matrix)
+        structure = GroupStructure(tuple(frozenset(g) for g in groups))
+        found = optimize_decisions(ind, structure, connected_components(structure), penalty)
+        assert found.bits.astype(int).tolist() == expected
+        assert found == _brute_force(ind, structure, penalty)[0]
+
+    @pytest.mark.parametrize("num_draws", [20, 1])
+    def test_all_configurations_tie_at_zero_penalty_and_accept_all(self, num_draws):
         # columns 0-3 are never alternative: every configuration of their component scores zero
-        matrix = np.zeros((6, 5), dtype=bool)
+        matrix = np.zeros((num_draws, 5), dtype=bool)
         matrix[:, 4] = True
         ind = _indicators_from_matrix(matrix)
         groups = GroupStructure(
@@ -413,37 +394,8 @@ class TestOptimizer:
              frozenset({3}), frozenset({4}))
         )
         partition = connected_components(groups)
-        config = OptimizerConfig(exact_component_limit=exact_limit)
-        found = optimize_decisions(ind, groups, partition, 0.0, config)
+        found = optimize_decisions(ind, groups, partition, 0.0)
         assert found.bits.tolist() == [False, False, False, False, True]
-
-    def test_annealing_agrees_with_exact_on_forced_fallback(self):
-        rng = np.random.default_rng(5)
-        agree = 0
-        trials = 20
-        for k in range(trials):
-            ind, groups, penalty = _random_problem(rng, max_h=12)
-            partition = connected_components(groups)
-            exact = optimize_decisions(ind, groups, partition, penalty, OptimizerConfig(seed=k))
-            annealed = optimize_decisions(
-                ind, groups, partition, penalty,
-                OptimizerConfig(exact_component_limit=1, seed=k),
-            )
-            exact_value = penalized_objective(exact, ind, groups, penalty)
-            annealed_value = penalized_objective(annealed, ind, groups, penalty)
-            assert annealed_value <= exact_value + 1e-12
-            if abs(annealed_value - exact_value) <= 1e-12:
-                agree += 1
-        assert agree >= trials - 1
-
-    def test_annealing_is_deterministic_given_seed(self):
-        rng = np.random.default_rng(6)
-        ind, groups, penalty = _random_problem(rng, max_h=10)
-        partition = connected_components(groups)
-        cfg = OptimizerConfig(exact_component_limit=1, seed=77)
-        a = optimize_decisions(ind, groups, partition, penalty, cfg)
-        b = optimize_decisions(ind, groups, partition, penalty, cfg)
-        assert a == b
 
     def test_decomposition_matches_enumeration_at_fourteen_hypotheses(self):
         rng = np.random.default_rng(14)
@@ -458,7 +410,7 @@ class TestOptimizer:
         found = optimize_decisions(ind, structure, partition, 0.4)
         oracle, oracle_value = _brute_force(ind, structure, 0.4)
         assert found == oracle
-        assert penalized_objective(found, ind, structure, 0.4) == pytest.approx(oracle_value)
+        assert _exact_objective(found, ind, structure, 0.4) == oracle_value
 
     def test_rejection_count_monotone_in_penalty(self):
         rng = np.random.default_rng(7)
@@ -471,9 +423,30 @@ class TestOptimizer:
             ]
             assert all(b <= a for a, b in zip(counts, counts[1:]))
 
+    def test_ladder_over_the_table_budget_is_rejected(self):
+        # chains plus rungs {i, 47 - i}: in index order the frontier reaches 25 decisions
+        k = 48
+        groups = GroupStructure(tuple(
+            frozenset({j for j in (i - 1, i, i + 1) if 0 <= j < k} | {k - 1 - i}) for i in range(k)
+        ))
+        ind = _indicators_from_matrix(np.random.default_rng(48).random((100, k)) < 0.5)
+        with pytest.raises(InvalidSpec, match="48-member component starting at hypothesis 0"):
+            optimize_decisions(ind, groups, connected_components(groups), 0.5)
+
+    def test_seventy_member_chain_decides_twenty_penalties_at_its_profile_maximum(self):
+        ind, groups, partition = _chain_problem((70,), 4000, seed=70)
+        penalties = np.linspace(0.0, 0.95, 20).tolist()
+        start = time.perf_counter()
+        found = [optimize_decisions(ind, groups, partition, b) for b in penalties]
+        assert time.perf_counter() - start < 1.0
+        best = decisions._tables(ind, groups).profile(partition.components[0]).best
+        for penalty, config in zip(penalties, found):
+            attainable = max(Fraction(c, 4000) - Fraction(penalty) * r for r, c in enumerate(best))
+            assert _exact_objective(config, ind, groups, penalty) == attainable
+
 
 class TestTermTables:
-    """The outer sum of term tables against the integer-coded reference, bit for bit."""
+    """The solver against exact brute force, and the reuse of its tables."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -496,45 +469,35 @@ class TestTermTables:
             st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 0.95)), label="penalty"
         )
         ind = _indicators_from_matrix(matrix)
-        partition = connected_components(groups)
-        tables = decisions._tables(ind, groups)
-        for component in partition.components:
-            comp = list(component)
-            k = len(comp)
-            reference = _oracle_values(_CodeTables.of_component(ind, groups, comp), k, penalty)
-            values = decisions._component_values(tables, comp, penalty)
-            assert values.reshape(-1).tobytes() == reference.tobytes()
-            assert decisions._enumerate_component(values) == _oracle_enumerate(reference, k)
-        annealing = OptimizerConfig(
-            exact_component_limit=1, annealing_iterations=150, restarts=3,
-            seed=data.draw(st.integers(0, 2**16), label="seed"),
-        )
-        for config in (OptimizerConfig(), annealing):
-            found = optimize_decisions(ind, groups, partition, penalty, config)
-            assert found == _oracle_optimize(ind, groups, partition, penalty, config)
+        found = optimize_decisions(ind, groups, connected_components(groups), penalty)
+        oracle, oracle_value = _brute_force(ind, groups, penalty)
+        assert found == oracle
+        assert _exact_objective(found, ind, groups, penalty) == oracle_value
 
     @pytest.mark.parametrize("penalty", [0.0, 0.1, 0.5])
     def test_eighteen_member_chain_enumerates_like_the_reference(self, penalty):
         ind, groups, partition = _chain_problem((18,), 4000, seed=18)
         comp = list(partition.components[0])
-        reference = _oracle_values(_CodeTables.of_component(ind, groups, comp), 18, penalty)
-        values = decisions._component_values(decisions._tables(ind, groups), comp, penalty)
-        assert values.reshape(-1).tobytes() == reference.tobytes()
-        assert decisions._enumerate_component(values) == _oracle_enumerate(reference, 18)
-
-    def test_twenty_four_member_chain_anneals_like_the_reference(self):
-        ind, groups, partition = _chain_problem((24,), 4000, seed=24)
-        config = OptimizerConfig(seed=3)
-        assert config.exact_component_limit < 24
-        found = optimize_decisions(ind, groups, partition, 0.5, config)
-        assert found == _oracle_optimize(ind, groups, partition, 0.5, config)
+        hits = _component_hits(ind, groups, comp)
+        popcount = np.bitwise_count(np.arange(1 << 18, dtype=np.int64))
+        best = [int(hits[popcount == r].max()) for r in range(19)]
+        assert decisions._tables(ind, groups).profile(partition.components[0]).best == best
+        scores = [Fraction(c, 4000) - Fraction(penalty) * r for r, c in enumerate(best)]
+        r = scores.index(max(scores))
+        code = int(np.flatnonzero((popcount == r) & (hits == best[r]))[0])
+        found = optimize_decisions(ind, groups, partition, penalty)
+        assert found.bits.tolist() == [bool((code >> (17 - j)) & 1) for j in range(18)]
 
     def test_tables_are_built_once_per_group_structure(self):
         ind, groups, partition = _chain_problem((5, 3), 200, seed=1)
         first = decisions._tables(ind, groups)
         optimize_decisions(ind, groups, partition, 0.3)
+        profiles = dict(first.profiles)
+        assert set(profiles) == set(partition.components)
+        optimize_decisions(ind, groups, partition, 0.6)
         joint_correct_probs(ind, groups, DecisionConfig.all_reject(8))
         assert decisions._tables(ind, groups) is first
+        assert all(first.profiles[c] is p for c, p in profiles.items())
         assert decisions._tables(ind, GroupStructure.singletons(8)) is not first
 
 

@@ -27,14 +27,12 @@ class TestTestSpec:
     def test_hypothesis_count_and_layout(self):
         spec = TestSpec(num_covariates=3, include_rho_test=True)
         assert spec.num_hypotheses == 5
-        assert spec.rho_hypothesis == 0
         assert spec.coefficient_hypothesis(0) == 1
         assert spec.coefficient_of_hypothesis(0) is None
         assert spec.coefficient_of_hypothesis(4) == 3
 
         bare = TestSpec(num_covariates=3, include_rho_test=False)
         assert bare.num_hypotheses == 4
-        assert bare.rho_hypothesis is None
         assert bare.coefficient_hypothesis(2) == 2
 
     def test_validation(self):
