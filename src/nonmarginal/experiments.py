@@ -60,6 +60,7 @@ from .hypotheses import (
 from .model_ar1 import (
     Ar1Params,
     CovariateDesign,
+    Dataset,
     ErrorExponent,
     PriorConfig,
     estimate_error_exponent,
@@ -72,6 +73,10 @@ from .model_ar1 import (
 _STAGE_DESIGN = 0
 _STAGE_SIMULATE = 1
 _STAGE_GIBBS = 2
+
+# Floats of noise and retained draws that one sampling batch may hold (32 MiB);
+# a batch of more chains is split.
+BATCH_FLOAT_BUDGET = 2**22
 
 REPLICATE_CSV_COLUMNS = (
     "replicate_id",
@@ -252,44 +257,84 @@ class MethodOutcome:
     report: PosteriorErrorReport
 
 
-def _posterior_worker(args) -> ReplicatePosterior | ReplicateFailure:
-    cfg_dict, n, replicate_id = args
-    cfg = ScenarioConfig.from_dict(cfg_dict)
-    try:
-        return build_replicate_posterior(cfg, n, replicate_id)
-    except Exception as exc:  # noqa: BLE001 - a failed replicate must not sink the batch
-        return ReplicateFailure(n=n, replicate_id=replicate_id, error=f"{type(exc).__name__}: {exc}")
+def simulate_replicate(cfg: ScenarioConfig, design: CovariateDesign, replicate_id: int) -> Dataset:
+    """The simulated series of one replicate on its sample size's design."""
+    n = design.n_obs
+    return simulate(cfg.params_for(design.num_covariates), design, n,
+                    seed=seed_for(cfg.master_seed, n, replicate_id, _STAGE_SIMULATE))
 
 
-def build_replicate_posterior(cfg: ScenarioConfig, n: int, replicate_id: int) -> ReplicatePosterior:
-    """simulate -> posterior sample -> alternative indicators, one replicate."""
-    m = cfg.m_for(n)
-    spec = cfg.spec_for(m)
-    design = design_for(cfg, n)
-    params = cfg.params_for(m)
-    data = simulate(params, design, n, seed=seed_for(cfg.master_seed, n, replicate_id, _STAGE_SIMULATE))
-    draws = gibbs_sample(
-        data,
-        cfg.prior,
-        num_draws=cfg.num_draws,
-        burn_in=cfg.burn_in,
-        thinning=cfg.thinning,
-        seed=seed_for(cfg.master_seed, n, replicate_id, _STAGE_GIBBS),
-    )
-    indicators = alternative_indicators(draws, spec)
-    return ReplicatePosterior(
-        n=n,
-        replicate_id=replicate_id,
-        indicators=indicators,
-        marginals=marginal_probs(indicators),
-    )
+def _failure(n: int, replicate_id: int, exc: Exception) -> ReplicateFailure:
+    return ReplicateFailure(n=n, replicate_id=replicate_id, error=f"{type(exc).__name__}: {exc}")
+
+
+def _sample_batch(args) -> list[ReplicatePosterior | ReplicateFailure]:
+    """simulate -> one batched posterior sample -> alternative indicators, per job.
+
+    ``args`` is (cfg, designs by n, jobs), the jobs being (n, replicate_id)
+    pairs whose designs share a width.  A replicate that fails at any step
+    fails alone; the chains of the others do not depend on the batch.
+    """
+    cfg, designs, jobs = args
+    results: dict[tuple, ReplicatePosterior | ReplicateFailure] = {}
+    simulated, datasets = [], []
+    for n, rid in jobs:
+        try:
+            datasets.append(simulate_replicate(cfg, designs[n], rid))
+            simulated.append((n, rid))
+        except Exception as exc:  # noqa: BLE001 - a failed replicate must not sink the batch
+            results[(n, rid)] = _failure(n, rid, exc)
+    if simulated:
+        seeds = [seed_for(cfg.master_seed, n, rid, _STAGE_GIBBS) for n, rid in simulated]
+        try:
+            chains = gibbs_sample(datasets, cfg.prior, num_draws=cfg.num_draws,
+                                  burn_in=cfg.burn_in, thinning=cfg.thinning, seeds=seeds).chains
+        except Exception as exc:  # noqa: BLE001 - reported once per replicate of the batch
+            chains = [exc] * len(simulated)
+        for (n, rid), draws in zip(simulated, chains):
+            if isinstance(draws, Exception):
+                results[(n, rid)] = _failure(n, rid, draws)
+                continue
+            try:
+                indicators = alternative_indicators(draws, cfg.spec_for(cfg.m_for(n)))
+                results[(n, rid)] = ReplicatePosterior(
+                    n=n, replicate_id=rid, indicators=indicators,
+                    marginals=marginal_probs(indicators),
+                )
+            except Exception as exc:  # noqa: BLE001 - a failed replicate must not sink the batch
+                results[(n, rid)] = _failure(n, rid, exc)
+    return [results[job] for job in jobs]
+
+
+def _batches(cfg: ScenarioConfig, designs: dict, jobs: list) -> list[list]:
+    """Split jobs into contiguous batches of one design width each, every
+    batch holding at most ``BATCH_FLOAT_BUDGET`` floats of noise and retained
+    draws."""
+    sweeps = cfg.burn_in + cfg.num_draws * cfg.thinning
+    by_width: dict[int, list] = {}
+    for job in jobs:
+        by_width.setdefault(designs[job[0]].z.shape[1], []).append(job)
+    batches = []
+    for width, group in by_width.items():
+        fits = BATCH_FLOAT_BUDGET // ((sweeps + cfg.num_draws) * (width + 2))
+        count = math.ceil(len(group) / max(1, fits))
+        bounds = [len(group) * i // count for i in range(count + 1)]
+        batches += [group[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return batches
+
+
+def build_replicate_posterior(cfg: ScenarioConfig, n: int,
+                              replicate_id: int) -> ReplicatePosterior | ReplicateFailure:
+    """One replicate regenerated in isolation: a batch of one, with the same bits."""
+    (result,) = _sample_batch((cfg, {n: design_for(cfg, n)}, [(n, replicate_id)]))
+    return result
 
 
 def _parallel_map(fn, items, workers: int):
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (8 * workers))))
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def _resolve_workers(cfg_workers: int, override: int | None) -> int:
@@ -298,6 +343,40 @@ def _resolve_workers(cfg_workers: int, override: int | None) -> int:
     if cfg_workers > 0:
         return cfg_workers
     return os.cpu_count() or 1
+
+
+def extend_ensembles(ensembles: list, count: int, workers: int) -> None:
+    """Bring every ensemble to ``count`` requested replicates in one dispatch.
+
+    The new (n, replicate_id) jobs of all sample sizes are sampled in batches
+    (``_batches``), each one ``gibbs_sample`` call, on one process pool (in
+    this process when there is one batch).  New replicate ids are appended;
+    existing replicates stay untouched.
+    """
+    growing = [e for e in ensembles if count > e._requested]
+    if not growing:
+        return
+    cfg = growing[0].cfg
+    jobs = [(e.n, rid) for e in growing for rid in range(e._requested, count)]
+    designs = {e.n: e.design for e in growing}
+    for design in designs.values():
+        design.ztz  # cached here, so it is pickled with the design instead of recomputed per batch
+    items = [(cfg, {n: designs[n] for n in dict.fromkeys(n for n, _ in batch)}, batch)
+             for batch in _batches(cfg, designs, jobs)]
+    by_n = {e.n: e for e in growing}
+    for part in _parallel_map(_sample_batch, items, workers):
+        for item in part:  # batches are contiguous, so each n's replicates arrive in id order
+            ensemble = by_n[item.n]
+            if isinstance(item, ReplicateFailure):
+                ensemble.failures.append(item)
+            else:
+                ensemble.replicates.append(item)
+    for ensemble in growing:
+        ensemble._requested = count
+        ensemble._decision_cache.clear()
+        ensemble._report_cache.clear()
+        if not ensemble.replicates:
+            raise InvalidSpec(f"every replicate failed at n={ensemble.n}: {ensemble.failures[:3]}")
 
 
 class DecisionEnsemble:
@@ -309,7 +388,8 @@ class DecisionEnsemble:
     replicate are built at its first decision and kept with its indicators,
     so every later penalty and rule reads them.  ``grow`` doubles the
     replicate budget by appending new replicate ids, leaving existing
-    replicates untouched.
+    replicates untouched.  ``replicates=0`` builds the ensemble empty, for
+    ``extend_ensembles`` to sample together with others.
     """
 
     def __init__(self, cfg: ScenarioConfig, n: int, replicates: int | None = None,
@@ -336,19 +416,7 @@ class DecisionEnsemble:
         return len(self.replicates)
 
     def extend_to(self, count: int) -> None:
-        if count <= self._requested:
-            return
-        jobs = [(self.cfg.to_dict(), self.n, rid) for rid in range(self._requested, count)]
-        self._requested = count
-        for item in _parallel_map(_posterior_worker, jobs, self.workers):
-            if isinstance(item, ReplicateFailure):
-                self.failures.append(item)
-            else:
-                self.replicates.append(item)
-        if not self.replicates:
-            raise InvalidSpec(f"every replicate failed at n={self.n}: {self.failures[:3]}")
-        self._decision_cache.clear()
-        self._report_cache.clear()
+        extend_ensembles([self], count, self.workers)
 
     def grow(self) -> None:
         self.extend_to(2 * self._requested)
@@ -579,9 +647,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
     ensembles: dict[int, DecisionEnsemble] = {}
     reports: dict[tuple, FrequentistErrorReport] = {}
     t0 = time.perf_counter()
+    workers = _resolve_workers(cfg.workers, workers)
     for n in cfg.n_grid:
-        ensembles[n] = DecisionEnsemble(cfg, n, workers=workers)
-        failures.extend(str(failure) for failure in ensembles[n].failures)
+        ensembles[n] = DecisionEnsemble(cfg, n, replicates=0, workers=workers)
+    extend_ensembles(list(ensembles.values()), cfg.replicates, workers)
+    for ensemble in ensembles.values():
+        failures.extend(str(failure) for failure in ensemble.failures)
     wallclock["posterior_sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -22,7 +22,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.stats import truncnorm
 
 from .exceptions import InfeasibleDesign, InvalidSpec, NumericalFailure
@@ -234,6 +233,18 @@ class PosteriorDraws:
         return self.draws[:, 2:]
 
 
+@dataclass(frozen=True, eq=False)
+class PosteriorBatch:
+    """The chains of one ``gibbs_sample`` call, in dataset order.
+
+    ``chains[r]`` holds the draws of dataset r, or the ``NumericalFailure`` of
+    a chain that went non-finite.
+    """
+
+    chains: tuple
+    diagnostics: dict = field(default_factory=dict)
+
+
 @dataclass(frozen=True)
 class SignalMoments:
     """Average quadratic forms of the regression signal over the design.
@@ -307,8 +318,11 @@ def simulate(params: Ar1Params, design: CovariateDesign, n: int, seed=0) -> Data
         raise InvalidSpec("coefficient vector and design width disagree")
     rng = _rng(seed)
     drive = design.z @ params.beta + rng.normal(0.0, math.sqrt(params.sigma2), size=n)
-    x = lfilter([1.0], [1.0, -params.rho], drive)
-    return Dataset(x=x, design=design, seed=_seed_payload(seed))
+    x, prev = [], 0.0
+    for value in drive.tolist():  # x_t = drive_t + rho x_{t-1}, x_0 = 0
+        prev = value + params.rho * prev
+        x.append(prev)
+    return Dataset(x=np.array(x), design=design, seed=_seed_payload(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +352,18 @@ def _eigenbasis(covariance: np.ndarray, ztz: np.ndarray) -> tuple[np.ndarray, np
     return chol @ w, lam
 
 
+# a chain that overflows becomes a NumericalFailure of its own; the others never see it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def gibbs_sample(
-    data: Dataset,
+    datasets,
     prior: PriorConfig,
+    *,
     num_draws: int = 4000,
     burn_in: int = 1000,
     thinning: int = 1,
-    seed=0,
-) -> PosteriorDraws:
-    """Sample the posterior by cycling exact full conditionals.
+    seeds,
+) -> PosteriorBatch:
+    """Sample the posterior of every dataset, one chain each, by cycling exact full conditionals.
 
     beta given (rho, sigma2) is a conjugate Gaussian regression on the
     quasi-differenced response; rho given (beta, sigma2) is a univariate
@@ -356,57 +373,96 @@ def gibbs_sample(
     precision of u | (rho, sigma2) is diag(lambda)/sigma2 + I for either prior
     family, and one sweep is O(p) elementwise work on sufficient statistics
     rotated once per chain, regardless of the series length.
+
+    The chains are the rows of (R, p) arrays, so one sweep of the batch is the
+    same few dozen numpy calls whatever R is.  The datasets must share p but
+    may differ in length and design; the basis is computed once per distinct
+    design.  Chain r draws all its noise up front from its own generator
+    ``seeds[r]``: T standard gammas, then T x (p + 1) standard normals, row t
+    holding the p normals of u and the one of rho at sweep t.  Every step is
+    elementwise or a reduction along the chain's own row, so a chain's draws
+    are the same bits in any batch, and a chain that goes non-finite becomes a
+    ``NumericalFailure`` in ``chains`` without touching the others.
     """
+    datasets, seeds = list(datasets), list(seeds)
+    if not datasets or len(seeds) != len(datasets):
+        raise InvalidSpec("need at least one dataset and one seed per dataset")
     if num_draws < 1:
         raise InvalidSpec("need at least one retained draw")
     if burn_in < 0 or thinning < 1:
         raise InvalidSpec("burn_in must be >= 0 and thinning >= 1")
-    rng = _rng(seed)
-    n, p = data.design.z.shape
-    ztz, ztx, ztxl, xx, xxl, xlxl = _sufficient_statistics(data)
-    basis, lam = _eigenbasis(prior.beta_covariance(data.design.num_covariates), ztz)
-    a = basis.T @ ztx
-    c = basis.T @ ztxl
-
-    rho_prec0 = 1.0 / prior.rho_prior_sd**2
-    shape = prior.sigma2_shape + 0.5 * n
-
-    rho = 0.0
-    sigma2 = 1.0
-    out = np.empty((num_draws, p + 2))
-    kept = 0
+    widths = {data.design.z.shape[1] for data in datasets}
+    if len(widths) != 1:
+        raise InvalidSpec("the datasets of one batch must share the coefficient count")
+    (p,) = widths
+    chains = len(datasets)
     total = burn_in + num_draws * thinning
-    for sweep in range(total):
-        # beta = V u | rho, sigma2
-        prec = lam / sigma2 + 1.0
-        u = (a - rho * c) / sigma2 / prec + rng.standard_normal(p) / np.sqrt(prec)
 
-        # rho | beta, sigma2
-        uc = float(u @ c)
-        rho_prec = xlxl / sigma2 + rho_prec0
-        rho_mean = (xxl - uc) / sigma2 / rho_prec
-        rho = rho_mean + rng.standard_normal() / math.sqrt(rho_prec)
+    bases: dict[int, tuple] = {}
+    row_basis = []
+    lam, a, c = np.empty((3, chains, p))
+    xx, xxl, xlxl = np.empty((3, chains, 1))
+    gammas = np.empty((total, chains, 1))
+    normals = np.empty((total, chains, p + 1))
+    for r, (data, seed) in enumerate(zip(datasets, seeds)):
+        design = data.design
+        if id(design) not in bases:
+            bases[id(design)] = _eigenbasis(prior.beta_covariance(design.num_covariates), design.ztz)
+        basis, lam[r] = bases[id(design)]
+        row_basis.append(basis)
+        _, ztx, ztxl, xx[r], xxl[r], xlxl[r] = _sufficient_statistics(data)
+        a[r] = basis.T @ ztx
+        c[r] = basis.T @ ztxl
+        rng = _rng(seed)
+        gammas[:, r, 0] = rng.standard_gamma(prior.sigma2_shape + 0.5 * data.n_obs, size=total)
+        normals[:, r] = rng.standard_normal((total, p + 1))
+    # constants enter the sweep as (R, 1) arrays: a Python-float operand costs
+    # numpy more per call than the arithmetic on a few chains
+    two_a, two_xxl = 2.0 * a, 2.0 * xxl
+    rho_prec0 = np.full((chains, 1), 1.0 / prior.rho_prior_sd**2)
+    two_rate = np.full((chains, 1), 2.0 * prior.sigma2_rate)
+    zero = np.zeros((chains, 1))
 
-        # sigma2 | beta, rho
+    rho = np.zeros((chains, 1))
+    sigma2 = np.ones((chains, 1))
+    kept = np.empty((chains, num_draws, p + 2))
+    k = 0
+    noise = zip(normals[:, :, :p], normals[:, :, p:], 2.0 * gammas)
+    for sweep, (z_u, z_rho, two_gamma) in enumerate(noise):
+        # beta = V u | rho, sigma2: precision (lambda + sigma2) / sigma2 per coordinate
+        q = lam + sigma2
+        u = (a - rho * c) / q + z_u * np.sqrt(sigma2 / q)
+
+        # rho | beta, sigma2: precision (x_lag'x_lag + rho_prec0 sigma2) / sigma2
+        uc = np.add.reduce(u * c, axis=1, keepdims=True)
+        q_rho = xlxl + rho_prec0 * sigma2
+        rho = (xxl - uc) / q_rho + z_rho * np.sqrt(sigma2 / q_rho)
+
+        # sigma2 | beta, rho = (rate + ssr / 2) / gamma, ssr = |x - rho x_lag - Z V u|^2
         ssr = (
             xx
-            + rho * rho * xlxl
-            + float(lam @ (u * u))
-            - 2.0 * rho * xxl
-            - 2.0 * float(u @ a)
-            + 2.0 * rho * uc
+            + rho * (rho * xlxl - two_xxl + uc + uc)
+            + np.add.reduce(u * (lam * u - two_a), axis=1, keepdims=True)
         )
-        ssr = max(ssr, 0.0)
-        sigma2 = (prior.sigma2_rate + 0.5 * ssr) / rng.standard_gamma(shape)
+        sigma2 = (two_rate + np.maximum(ssr, zero)) / two_gamma
 
         if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
-            out[kept, 0] = rho
-            out[kept, 1] = sigma2
-            out[kept, 2:] = u
-            kept += 1
+            kept[:, k, :1] = rho
+            kept[:, k, 1:2] = sigma2
+            kept[:, k, 2:] = u
+            k += 1
 
-    out[:, 2:] = out[:, 2:] @ basis.T
-    return PosteriorDraws(out, burn_in=burn_in, thinning=thinning, diagnostics={"sweeps": total})
+    # the noise is spent: free it, and the loop's views of it, before the copies below
+    del noise, normals, gammas, z_u, z_rho
+    out = []
+    for r, draws in enumerate(kept):
+        draws[:, 2:] = draws[:, 2:] @ row_basis[r].T
+        if np.isfinite(draws).all():
+            out.append(PosteriorDraws(draws, burn_in=burn_in, thinning=thinning,
+                                      diagnostics={"sweeps": total}))
+        else:
+            out.append(NumericalFailure("the chain went non-finite"))
+    return PosteriorBatch(tuple(out), diagnostics={"sweeps": total, "chains": chains})
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,11 @@ def tiny_cfg():
 @pytest.fixture
 def replicate_1_fails(monkeypatch):
     """Replicate 1 raises at every sample size; the others build as usual."""
-    real = experiments.build_replicate_posterior
+    real = experiments.simulate_replicate
 
-    def flaky(cfg, n, replicate_id):
+    def flaky(cfg, design, replicate_id):
         if replicate_id == 1:
             raise RuntimeError("synthetic failure")
-        return real(cfg, n, replicate_id)
+        return real(cfg, design, replicate_id)
 
-    monkeypatch.setattr(experiments, "build_replicate_posterior", flaky)
+    monkeypatch.setattr(experiments, "simulate_replicate", flaky)

@@ -40,7 +40,7 @@ def test_decide_runs_on_saved_draws(config_path, tmp_path, tiny_cfg):
     design = generate_design(60, tiny_cfg.num_covariates, seed=1)
     params = tiny_cfg.params_for(tiny_cfg.num_covariates)
     data = simulate(params, design, 60, seed=2)
-    draws = gibbs_sample(data, PriorConfig(), num_draws=60, burn_in=30, seed=3)
+    draws = gibbs_sample([data], PriorConfig(), num_draws=60, burn_in=30, seeds=[3]).chains[0]
     draws_path = tmp_path / "draws.csv"
     save_draws(draws_path, draws)
     out = tmp_path / "dec"
@@ -110,14 +110,14 @@ def test_failed_replicate_fails_the_run(command, config_path, tiny_cfg, tmp_path
 
 
 def test_replicate_check_reuses_the_scenario_ensembles(config_path, tiny_cfg, tmp_path, monkeypatch):
-    real = experiments.build_replicate_posterior
+    real = experiments.simulate_replicate
     built = []
 
-    def counting(cfg, n, replicate_id):
-        built.append((n, replicate_id))
-        return real(cfg, n, replicate_id)
+    def counting(cfg, design, replicate_id):
+        built.append((design.n_obs, replicate_id))
+        return real(cfg, design, replicate_id)
 
-    monkeypatch.setattr(experiments, "build_replicate_posterior", counting)
+    monkeypatch.setattr(experiments, "simulate_replicate", counting)
     args = ["replicate", "--config", config_path, "--workers", "1", "--out", str(tmp_path / "out"),
             "--check", "--criteria", "2"]
     assert main(args) in (0, 1)  # criterion 2's verdict depends on the tiny scenario's noise

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from nonmarginal import (
+    Dataset,
     DecisionEnsemble,
     InvalidSpec,
     PriorConfig,
     ScenarioConfig,
     run_scenario,
 )
+from nonmarginal import experiments
 from nonmarginal.experiments import (
     aggregate_replicate_csv,
     build_replicate_posterior,
@@ -77,12 +79,49 @@ class TestGroupFileOverride:
         assert all(groups.groups[i] == frozenset({i}) for i in (0, 3, 4))
 
 
+def _budget_for_chains(cfg, chains):
+    """A ``BATCH_FLOAT_BUDGET`` that fits ``chains`` chains of ``cfg`` per batch."""
+    sweeps = cfg.burn_in + cfg.num_draws * cfg.thinning
+    return chains * (sweeps + cfg.num_draws) * (cfg.num_covariates + 3)
+
+
 class TestDeterminism:
     def test_replicate_is_bit_identical(self, tiny_cfg):
         a = build_replicate_posterior(tiny_cfg, 40, 1)
         b = build_replicate_posterior(tiny_cfg, 40, 1)
         assert np.array_equal(a.indicators.ind, b.indicators.ind)
         assert np.array_equal(a.marginals, b.marginals)
+
+    def test_replicate_is_the_same_bits_in_every_path(self, tiny_cfg, tmp_path, monkeypatch):
+        alone = {rid: build_replicate_posterior(tiny_cfg, 80, rid) for rid in range(3)}
+        paths = {
+            "ensemble": DecisionEnsemble(tiny_cfg, 80, workers=1),
+            "scenario, 1 worker": run_scenario(tiny_cfg, tmp_path / "a", workers=1).ensembles[80],
+        }
+        # batches of two chains, on a pool
+        monkeypatch.setattr(experiments, "BATCH_FLOAT_BUDGET", _budget_for_chains(tiny_cfg, 2))
+        paths["scenario, 2 workers"] = run_scenario(tiny_cfg, tmp_path / "b", workers=2).ensembles[80]
+        for path, ensemble in paths.items():
+            for rep in ensemble.replicates:
+                assert np.array_equal(rep.indicators.ind, alone[rep.replicate_id].indicators.ind)
+                assert np.array_equal(rep.marginals, alone[rep.replicate_id].marginals), path
+
+    def test_batches_over_the_float_budget_split_without_changing_replicates(
+            self, tiny_cfg, monkeypatch):
+        uncapped = DecisionEnsemble(tiny_cfg, 40, workers=1)
+        calls = []
+        real = experiments.gibbs_sample
+
+        def counting(datasets, *args, **kwargs):
+            calls.append(len(datasets))
+            return real(datasets, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "BATCH_FLOAT_BUDGET", _budget_for_chains(tiny_cfg, 2))
+        monkeypatch.setattr(experiments, "gibbs_sample", counting)
+        capped = DecisionEnsemble(tiny_cfg, 40, workers=1)
+        assert calls == [1, 2]
+        for a, b in zip(uncapped.replicates, capped.replicates, strict=True):
+            assert np.array_equal(a.indicators.ind, b.indicators.ind)
 
     def test_one_replicate_ensemble_deterministic_and_decisive_when_noiseless(self, tiny_cfg):
         cfg = ScenarioConfig.from_dict({**tiny_cfg.to_dict(), "sigma0_sq": 1e-6})
@@ -95,9 +134,12 @@ class TestDeterminism:
         assert first.decide(cfg.penalty)[0].config == first.truth.true_config
         assert first.decide(additive_penalty, "additive")[0].config == first.truth.true_config
 
-    def test_scenario_outputs_identical_across_runs_and_workers(self, tiny_cfg, tmp_path):
+    def test_scenario_outputs_identical_across_runs_and_workers(self, tiny_cfg, tmp_path,
+                                                                monkeypatch):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run_scenario(tiny_cfg, out1, workers=1)
+        # batches of two chains, on a pool
+        monkeypatch.setattr(experiments, "BATCH_FLOAT_BUDGET", _budget_for_chains(tiny_cfg, 2))
         run_scenario(tiny_cfg, out2, workers=2)
         for name in sorted(p.name for p in out1.glob("*.csv")):
             assert (out1 / name).read_text() == (out2 / name).read_text(), name
@@ -141,6 +183,25 @@ class TestDecisionEnsemble:
         assert "synthetic failure" in ensemble.failures[0].error
         report = ensemble.frequentist(0.5)
         assert report.n_replicates == tiny_cfg.replicates - 1
+
+    def test_non_finite_chain_fails_its_replicate_alone(self, tiny_cfg, monkeypatch):
+        clean = DecisionEnsemble(tiny_cfg, 40, workers=1)
+        real = experiments.simulate_replicate
+
+        def exploding(cfg, design, replicate_id):
+            data = real(cfg, design, replicate_id)
+            if replicate_id == 1:
+                return Dataset(data.x * 1e200, design, seed=data.seed)
+            return data
+
+        monkeypatch.setattr(experiments, "simulate_replicate", exploding)
+        ensemble = DecisionEnsemble(tiny_cfg, 40, workers=1)
+        assert [f.replicate_id for f in ensemble.failures] == [1]
+        assert ensemble.failures[0].error == "NumericalFailure: the chain went non-finite"
+        assert [rep.replicate_id for rep in ensemble.replicates] == [0, 2]
+        for rep in ensemble.replicates:
+            expected = clean.replicates[rep.replicate_id].indicators.ind
+            assert np.array_equal(rep.indicators.ind, expected)
 
 
 class TestArtifacts:

@@ -11,6 +11,7 @@ from scipy import stats
 
 from nonmarginal import (
     Ar1Params,
+    Dataset,
     InfeasibleDesign,
     InvalidSpec,
     NumericalFailure,
@@ -100,6 +101,17 @@ class TestSimulate:
         b = simulate(params, design, 60, seed=9)
         assert np.array_equal(a.x, b.x)
 
+    @pytest.mark.parametrize("rho", [0.5, -0.3, 0.97, 0.0])
+    def test_recursion_matches_lfilter_bit_for_bit(self, rho):
+        from scipy.signal import lfilter
+
+        design = generate_design(500, 2, seed=5)
+        params = Ar1Params(rho, 1.3, np.array([0.2, 1.0, -1.0]))
+        data = simulate(params, design, 500, seed=6)
+        rng = np.random.default_rng(6)
+        drive = design.z @ params.beta + rng.normal(0.0, math.sqrt(1.3), 500)
+        assert np.array_equal(data.x, lfilter([1.0], [1.0, -rho], drive))
+
     def test_recursion_matches_manual_loop(self):
         design = generate_design(40, 1, seed=1)
         params = Ar1Params(0.7, 0.5, np.array([0.2, -1.0]))
@@ -118,7 +130,7 @@ class TestGibbs:
         design = generate_design(2000, 3, seed=1)
         params = Ar1Params(0.5, 1.0, np.array([0.0, 2.0, 0.0, 0.0]))
         data = simulate(params, design, 2000, seed=2)
-        draws = gibbs_sample(data, PriorConfig(), num_draws=1500, burn_in=400, seed=3)
+        draws = gibbs_sample([data], PriorConfig(), num_draws=1500, burn_in=400, seeds=[3]).chains[0]
         assert abs(float(draws.beta[:, 1].mean()) - 2.0) < 0.1
         # the strong-signal coordinate sits within 3 posterior sds of truth
         strong = draws.beta[:, 1]
@@ -133,16 +145,46 @@ class TestGibbs:
         params = Ar1Params(0.2, 1.0, np.array([0.5, 1.0, 0.0]))
         data = simulate(params, design, 200, seed=5)
         prior = PriorConfig(beta_sd=1e-9)
-        draws = gibbs_sample(data, prior, num_draws=200, burn_in=50, seed=6)
+        draws = gibbs_sample([data], prior, num_draws=200, burn_in=50, seeds=[6]).chains[0]
         assert np.all(np.abs(draws.beta) < 1e-6)
 
     def test_same_seed_identical_draws(self):
         design = generate_design(120, 2, seed=0)
         params = Ar1Params(0.4, 1.0, np.array([0.0, 1.0, -0.5]))
         data = simulate(params, design, 120, seed=1)
-        a = gibbs_sample(data, PriorConfig(), num_draws=100, burn_in=20, seed=42)
-        b = gibbs_sample(data, PriorConfig(), num_draws=100, burn_in=20, seed=42)
+        a = gibbs_sample([data], PriorConfig(), num_draws=100, burn_in=20, seeds=[42]).chains[0]
+        b = gibbs_sample([data], PriorConfig(), num_draws=100, burn_in=20, seeds=[42]).chains[0]
         assert np.array_equal(a.draws, b.draws)
+
+    # widths 11 and 41 take numpy's unrolled row sums (8 or more elements),
+    # as real runs do; width 3 takes its plain loop
+    @pytest.mark.parametrize("num_covariates", [2, 10, 40])
+    def test_rows_are_the_same_bits_in_any_batch(self, num_covariates):
+        beta = np.resize([0.0, 1.0, -0.5], num_covariates + 1)
+        params = Ar1Params(0.4, 1.0, beta)
+        datasets = [simulate(params, generate_design(n, num_covariates, seed=n), n, seed=n)
+                    for n in (30, 120, 75, 120, 31)]
+        datasets[3] = simulate(params, datasets[1].design, 120, seed=7)  # shares a design
+        alone = [gibbs_sample([d], PriorConfig(), num_draws=50, burn_in=7, thinning=2, seeds=[i])
+                 .chains[0].draws for i, d in enumerate(datasets)]
+        for order in ([0, 1, 2, 3, 4], [4, 2, 0], [3, 1], [2, 4, 1, 0, 3]):
+            batch = gibbs_sample([datasets[i] for i in order], PriorConfig(), num_draws=50,
+                                 burn_in=7, thinning=2, seeds=order)
+            assert batch.diagnostics == {"sweeps": 107, "chains": len(order)}
+            for i, chain in zip(order, batch.chains):
+                assert np.array_equal(chain.draws, alone[i]), (order, i)
+
+    def test_non_finite_chain_fails_alone(self):
+        params = Ar1Params(0.4, 1.0, np.array([0.0, 1.0, -0.5]))
+        design = generate_design(80, 2, seed=3)
+        datasets = [simulate(params, design, 80, seed=s) for s in (1, 2, 3)]
+        datasets[1] = Dataset(datasets[1].x * 1e200, design, seed=2)
+        batch = gibbs_sample(datasets, PriorConfig(), num_draws=40, burn_in=10, seeds=[1, 2, 3])
+        assert isinstance(batch.chains[1], NumericalFailure)
+        for i in (0, 2):
+            alone = gibbs_sample([datasets[i]], PriorConfig(), num_draws=40, burn_in=10,
+                                 seeds=[i + 1]).chains[0]
+            assert np.array_equal(batch.chains[i].draws, alone.draws)
 
     def test_sigma2_conditional_matches_exact_posterior(self):
         # with beta and rho pinned at zero the model is x_t = eps_t and
@@ -150,20 +192,32 @@ class TestGibbs:
         design = generate_design(300, 2, seed=7)
         data = simulate(Ar1Params(0.0, 1.5, np.zeros(3)), design, 300, seed=8)
         prior = PriorConfig(beta_sd=1e-9, rho_prior_sd=1e-9, sigma2_shape=2.0, sigma2_rate=1.0)
-        draws = gibbs_sample(data, prior, num_draws=8000, burn_in=200, seed=9)
+        draws = gibbs_sample([data], prior, num_draws=8000, burn_in=200, seeds=[9]).chains[0]
         exact = stats.invgamma(2.0 + 150.0, scale=1.0 + 0.5 * float(data.x @ data.x))
         assert stats.kstest(draws.sigma2, exact.cdf).pvalue > 1e-3
 
-    @pytest.mark.parametrize("family", ["independent_gaussian", "gp_decay"])
-    def test_beta_conditional_matches_exact_posterior(self, family):
+    @pytest.mark.parametrize("family,batch", [
+        pytest.param("independent_gaussian", "alone", id="independent_gaussian"),
+        pytest.param("gp_decay", "alone", id="gp_decay"),
+        pytest.param("independent_gaussian", "mixed_n", id="mixed_n"),
+    ])
+    def test_beta_conditional_matches_exact_posterior(self, family, batch):
         # with rho pinned at 0 and sigma2 pinned at 2, beta | data is
-        # N(P^-1 Z'x / 2, P^-1) with P = Z'Z / 2 + Sigma0^-1 exactly
+        # N(P^-1 Z'x / 2, P^-1) with P = Z'Z / 2 + Sigma0^-1 exactly; "mixed_n"
+        # checks the middle row of a batch whose other rows have other lengths
+        beta = np.array([0.5, 1.0, 0.0, -0.7])
         design = generate_design(300, 3, seed=10)
-        data = simulate(Ar1Params(0.0, 2.0, np.array([0.5, 1.0, 0.0, -0.7])), design, 300, seed=11)
+        data = simulate(Ar1Params(0.0, 2.0, beta), design, 300, seed=11)
         prior = PriorConfig(
             family=family, beta_sd=1.0, rho_prior_sd=1e-9, sigma2_shape=1e8, sigma2_rate=2e8
         )
-        draws = gibbs_sample(data, prior, num_draws=4000, burn_in=100, seed=12)
+        rows, seeds = [data], [12]
+        if batch == "mixed_n":
+            short, long = (simulate(Ar1Params(0.3, 1.0, beta), generate_design(n, 3, seed=n), n,
+                                    seed=n) for n in (120, 800))
+            rows, seeds = [short, data, long], [13, 15, 14]
+        batch = gibbs_sample(rows, prior, num_draws=4000, burn_in=100, seeds=seeds)
+        draws = batch.chains[len(rows) // 2]
         z = design.z
         precision = z.T @ z / 2.0 + np.linalg.inv(prior.beta_covariance(3))
         mean = np.linalg.solve(precision, z.T @ data.x / 2.0)
@@ -175,12 +229,18 @@ class TestGibbs:
     def test_thinning_and_validation(self):
         design = generate_design(50, 1, seed=0)
         data = simulate(Ar1Params(0.0, 1.0, np.zeros(2)), design, 50, seed=0)
-        draws = gibbs_sample(data, PriorConfig(), num_draws=10, burn_in=5, thinning=3, seed=0)
+        draws = gibbs_sample([data], PriorConfig(), num_draws=10, burn_in=5, thinning=3,
+                             seeds=[0]).chains[0]
         assert draws.num_draws == 10
+        wider = simulate(Ar1Params(0.0, 1.0, np.zeros(3)), generate_design(50, 2, seed=0), 50, seed=0)
         with pytest.raises(InvalidSpec):
-            gibbs_sample(data, PriorConfig(), num_draws=0, seed=0)
+            gibbs_sample([data, wider], PriorConfig(), num_draws=5, seeds=[0, 1])
         with pytest.raises(InvalidSpec):
-            gibbs_sample(data, PriorConfig(), num_draws=5, thinning=0, seed=0)
+            gibbs_sample([data], PriorConfig(), num_draws=5, seeds=[0, 1])
+        with pytest.raises(InvalidSpec):
+            gibbs_sample([data], PriorConfig(), num_draws=0, seeds=[0])
+        with pytest.raises(InvalidSpec):
+            gibbs_sample([data], PriorConfig(), num_draws=5, thinning=0, seeds=[0])
 
     def test_non_psd_prior_covariance_is_reported(self):
         with pytest.raises(NumericalFailure):
@@ -205,7 +265,7 @@ class TestGpDecayPrior:
         params = Ar1Params(0.3, 1.0, np.array([0.0, 1.2, 0.0, 0.0, 0.0]))
         data = simulate(params, design, 300, seed=2)
         prior = PriorConfig(family="gp_decay", decay_scale=5.0)
-        draws = gibbs_sample(data, prior, num_draws=400, burn_in=100, seed=3)
+        draws = gibbs_sample([data], prior, num_draws=400, burn_in=100, seeds=[3]).chains[0]
         assert np.all(np.isfinite(draws.draws))
         # the decaying prior scale shrinks high-index coefficients harder
         assert abs(float(draws.beta[:, 1].mean()) - 1.2) < 0.4
@@ -424,7 +484,7 @@ class TestPersistence:
     def test_draws_round_trip(self, tmp_path):
         design = generate_design(60, 1, seed=1)
         data = simulate(Ar1Params(0.2, 1.0, np.array([0.0, 1.0])), design, 60, seed=2)
-        draws = gibbs_sample(data, PriorConfig(), num_draws=30, burn_in=10, seed=3)
+        draws = gibbs_sample([data], PriorConfig(), num_draws=30, burn_in=10, seeds=[3]).chains[0]
         save_draws(tmp_path / "draws.csv", draws)
         back = load_draws(tmp_path / "draws.csv")
         np.testing.assert_array_equal(back.draws, draws.draws)
