@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _graph_components
 
 from .exceptions import InvalidSpec
 
@@ -290,22 +288,24 @@ def connected_components(structure: GroupStructure) -> ComponentPartition:
     other's index; components are the transitive closure of that relation.
     """
     h = structure.num_hypotheses
-    rows, cols = [], []
+    root = list(range(h))  # union-find forest with path halving
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
     for i, g in enumerate(structure.groups):
         for j in g:
-            rows.append(i)
-            cols.append(j)
-    adjacency = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(h, h))
-    _, labels = _graph_components(adjacency, directed=False)
-
-    members: dict[int, list[int]] = {}
-    for i, lab in enumerate(labels):
-        members.setdefault(int(lab), []).append(i)
-    ordered = sorted(members.values(), key=lambda m: m[0])
+            root[find(j)] = find(i)
+    members: dict[int, list[int]] = {}  # in order of each component's least member
+    for i in range(h):
+        members.setdefault(find(i), []).append(i)
     component_of = np.empty(h, dtype=int)
-    for cid, m in enumerate(ordered):
+    for cid, m in enumerate(members.values()):
         component_of[m] = cid
-    return ComponentPartition(tuple(tuple(m) for m in ordered), component_of)
+    return ComponentPartition(tuple(map(tuple, members.values())), component_of)
 
 
 def truth_proportions(structure: GroupStructure, truth: TruthAssignment) -> TruthProportions:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonmarginal import (
@@ -124,28 +124,23 @@ class TestBuildGroups:
 
 
 def _components_oracle(groups):
-    """Transitive closure by plain union-find, independent of the implementation."""
+    """Components by brute-force transitive closure of the symmetrized group graph."""
     h = len(groups.groups)
-    parent = list(range(h))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
+    reach = np.eye(h, dtype=bool)
     for i, g in enumerate(groups.groups):
         for j in g:
-            union(i, j)
-    buckets = {}
-    for i in range(h):
-        buckets.setdefault(find(i), []).append(i)
-    return sorted(tuple(sorted(b)) for b in buckets.values())
+            reach[i, j] = reach[j, i] = True
+    for k in range(h):  # Warshall: allow paths through hypothesis k
+        reach |= reach[:, [k]] & reach[[k], :]
+    return sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+
+
+@st.composite
+def _group_structures(draw):
+    """Each hypothesis plus up to three arbitrary members, so membership is often one-sided."""
+    h = draw(st.integers(1, 12))
+    extra = st.lists(st.integers(0, h - 1), max_size=3)
+    return GroupStructure(tuple(frozenset({i, *draw(extra)}) for i in range(h)))
 
 
 class TestConnectedComponents:
@@ -168,19 +163,17 @@ class TestConnectedComponents:
         assert partition.components == (tuple(range(k)),)
         assert _components_oracle(groups) == [tuple(range(k))]
 
-    def test_matches_union_find_oracle_on_random_structures(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            h = int(rng.integers(2, 12))
-            groups = []
-            for i in range(h):
-                extra = rng.choice(h, size=int(rng.integers(0, 3)), replace=False)
-                groups.append(frozenset({i, *map(int, extra)}))
-            structure = GroupStructure(tuple(groups))
-            partition = connected_components(structure)
-            assert list(partition.components) == _components_oracle(structure)
-            again = connected_components(structure)
-            assert again.components == partition.components
+    @settings(max_examples=200, deadline=None)
+    @given(_group_structures())
+    @example(GroupStructure.singletons(1))
+    @example(GroupStructure.singletons(7))
+    @example(GroupStructure((frozenset({0, 3}), frozenset({1}), frozenset({2, 1}), frozenset({3}))))
+    def test_matches_transitive_closure_on_random_structures(self, structure):
+        partition = connected_components(structure)
+        assert list(partition.components) == _components_oracle(structure)
+        for cid, members in enumerate(partition.components):
+            assert partition.component_of[list(members)].tolist() == [cid] * len(members)
+        assert connected_components(structure).components == partition.components
 
     def test_requires_self_membership(self):
         with pytest.raises(InvalidSpec):

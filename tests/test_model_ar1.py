@@ -67,6 +67,21 @@ class TestGenerateDesign:
         assert np.all(np.abs(design.z[:, 1:].sum(axis=0)) < 1e-10 * 500)
         assert spread.shape == (500, 6)
 
+    @pytest.mark.parametrize("generator", ["iid_gaussian_bounded", "orthogonalized"])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    def test_entries_are_the_bits_of_truncnorm(self, generator, scale):
+        for seed, (n, m) in enumerate([(2, 1), (60, 3), (250, 10), (2000, 40)]):
+            raw = stats.truncnorm.rvs(-3.0, 3.0, scale=scale, size=(n, m),
+                                      random_state=np.random.default_rng(seed))
+            if generator == "iid_gaussian_bounded":
+                expected = raw - raw.mean(axis=0)
+            else:
+                q, r = np.linalg.qr(np.column_stack([np.ones(n), raw]))
+                expected = (q * np.sign(np.diag(r)))[:, 1:] * (math.sqrt(n) * scale)
+            z = generate_design(n, m, generator=generator, scale=scale, seed=seed).z
+            assert np.array_equal(z[:, 1:], expected)
+            assert np.array_equal(z[:, 0], np.ones(n))
+
     def test_orthogonalized_needs_enough_rows(self):
         with pytest.raises(InfeasibleDesign):
             generate_design(4, 5, generator="orthogonalized", seed=0)
