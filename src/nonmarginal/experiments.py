@@ -25,6 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__ as _package_version
+from ._blas import blas_version
 from .calibration import CalibrationResult, CurvePoint, calibrate_penalty
 from .decisions import (
     OptimizerConfig,
@@ -342,6 +343,8 @@ def _resolve_workers(cfg_workers: int, override: int | None) -> int:
         return max(1, override)
     if cfg_workers > 0:
         return cfg_workers
+    if hasattr(os, "sched_getaffinity"):  # the cores this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -738,6 +741,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
             "package": _package_version,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": blas_version(),
         },
         outputs=sorted(outputs),
         wallclock=wallclock,

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .exceptions import InvalidSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -238,7 +239,8 @@ def _column_correlations(z: np.ndarray) -> np.ndarray:
     ok = norms > 0
     safe = np.where(ok, norms, 1.0)
     unit = centered / safe
-    corr = unit.T @ unit
+    with one_blas_thread():
+        corr = unit.T @ unit
     corr[~ok, :] = 0.0
     corr[:, ~ok] = 0.0
     np.fill_diagonal(corr, 1.0)

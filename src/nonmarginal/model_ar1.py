@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
+from ._blas import one_blas_thread
 from .exceptions import InfeasibleDesign, InvalidSpec, NumericalFailure
 from .hypotheses import TestSpec
 
@@ -112,7 +113,8 @@ class CovariateDesign:
     @cached_property
     def ztz(self) -> np.ndarray:
         """Z'Z, computed once per design."""
-        ztz = self.z.T @ self.z
+        with one_blas_thread():
+            ztz = self.z.T @ self.z
         ztz.setflags(write=False)
         return ztz
 
@@ -309,7 +311,8 @@ def generate_design(
                 raise InfeasibleDesign(
                     f"cannot orthogonalize {m + 1} columns with only {n} rows"
                 )
-            q, r = np.linalg.qr(np.column_stack([np.ones(n), raw]))
+            with one_blas_thread():
+                q, r = np.linalg.qr(np.column_stack([np.ones(n), raw]))
             q = q * np.sign(np.diag(r))  # fix the sign convention for determinism
             z[:, 1:] = q[:, 1:] * (math.sqrt(n) * scale)
     if generator == "orthogonalized":
@@ -361,6 +364,7 @@ def _eigenbasis(covariance: np.ndarray, ztz: np.ndarray) -> tuple[np.ndarray, np
 
 # a chain that overflows becomes a NumericalFailure of its own; the others never see it
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+@one_blas_thread()
 def gibbs_sample(
     datasets,
     prior: PriorConfig,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ class TestScenarioConfig:
     def test_ultra_with_gaussian_prior_warns(self):
         with pytest.warns(UserWarning):
             ScenarioConfig(growth="ultra", growth_coefficient=0.001, active_indices=(1,))
+
+    def test_all_cores_are_the_cores_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert experiments._resolve_workers(0, None) == 1
+        assert experiments._resolve_workers(3, None) == 3
+        assert experiments._resolve_workers(0, 2) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert experiments._resolve_workers(0, None) == 8
 
 
 class TestGroupFileOverride:
@@ -215,8 +225,12 @@ class TestArtifacts:
         assert (out / "rates.csv").exists()
         assert (out / "rate_fits.json").exists()
         assert (out / "exponent.json").exists()
-        assert (out / "manifest.json").exists()
         assert result.exponent_value >= 0.0
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        versions = json.loads((out / "manifest.json").read_text())["versions"]
+        assert versions["numpy"] == np.__version__
+        assert versions["blas"] == {"name": blas["name"], "version": blas["version"],
+                                    "one_thread": blas["name"].startswith("scipy-openblas")}
         header = (out / "replicates_nonmarginal_n40.csv").read_text().splitlines()[0]
         assert header == "replicate_id,n,beta,d_hat_bits,fdp,fnp,fdr_xn,fnr_xn,mfdr_xn,mfnr_xn"
         rates_header = (out / "rates.csv").read_text().splitlines()[0]

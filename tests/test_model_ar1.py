@@ -25,6 +25,7 @@ from nonmarginal import (
     quadratic_limits,
     simulate,
 )
+from nonmarginal import _blas
 from nonmarginal.model_ar1 import (
     PosteriorDraws,
     _eigenbasis,
@@ -260,6 +261,62 @@ class TestGibbs:
     def test_non_psd_prior_covariance_is_reported(self):
         with pytest.raises(NumericalFailure):
             _eigenbasis(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
+
+
+def _wide_batch(num_draws):
+    """Two chains at p = 41 and n = 2000 on one fresh design, whose Z'Z the sampler computes."""
+    params = Ar1Params(0.4, 1.0, np.resize([0.0, 1.0, -0.5], 41))
+    design = generate_design(2000, 40, seed=5)
+    datasets = [simulate(params, design, 2000, seed=s) for s in (1, 2)]
+    return design, gibbs_sample(datasets, PriorConfig(), num_draws=num_draws, burn_in=20,
+                                seeds=[3, 4])
+
+
+@pytest.fixture
+def caller_threads():
+    """The caller's OpenBLAS thread count, set to 3 so that one thread is told apart from it."""
+    if _blas._THREADS is None:
+        pytest.skip("numpy does not run on its bundled OpenBLAS")
+    get, set_ = _blas._THREADS
+    before = get()
+    set_(3)
+    yield 3
+    set_(before)
+
+
+class TestOneBlasThread:
+    def test_results_are_the_bits_of_the_callers_threads(self, caller_threads, monkeypatch):
+        design, batch = _wide_batch(300)
+        monkeypatch.setattr(_blas, "_THREADS", None)  # one_blas_thread does nothing
+        plain_design, plain = _wide_batch(300)
+        assert design.ztz.tobytes() == plain_design.ztz.tobytes()
+        for chain, plain_chain in zip(batch.chains, plain.chains, strict=True):
+            assert chain.draws.tobytes() == plain_chain.draws.tobytes()
+
+    def test_one_thread_inside_the_sampler_and_the_callers_outside(self, caller_threads,
+                                                                    monkeypatch):
+        get = _blas._THREADS[0]
+        counts, eigh = [], np.linalg.eigh
+
+        def recording_eigh(a):
+            counts.append(get())
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        design, _ = _wide_batch(5)
+        assert counts == [1]
+        assert get() == caller_threads
+        generate_design(300, 40, seed=6).ztz
+        assert get() == caller_threads
+
+        class NotPositiveDefinite(PriorConfig):
+            def beta_covariance(self, num_covariates):
+                return -np.eye(num_covariates + 1)
+
+        data = simulate(Ar1Params(0.0, 1.0, np.zeros(41)), design, 2000, seed=0)
+        with pytest.raises(NumericalFailure):
+            gibbs_sample([data], NotPositiveDefinite(), num_draws=5, seeds=[0])
+        assert get() == caller_threads
 
 
 class TestGpDecayPrior:
