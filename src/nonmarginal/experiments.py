@@ -64,6 +64,7 @@ from .model_ar1 import (
     Dataset,
     ErrorExponent,
     PriorConfig,
+    _floats_per_chain,
     estimate_error_exponent,
     generate_design,
     gibbs_sample,
@@ -75,8 +76,8 @@ _STAGE_DESIGN = 0
 _STAGE_SIMULATE = 1
 _STAGE_GIBBS = 2
 
-# Floats of noise and retained draws that one sampling batch may hold (32 MiB);
-# a batch of more chains is split.
+# Floats that one sampling batch may hold at once (32 MiB): retained draws,
+# gammas and one block of normals per chain; a batch of more chains is split.
 BATCH_FLOAT_BUDGET = 2**22
 
 REPLICATE_CSV_COLUMNS = (
@@ -309,15 +310,15 @@ def _sample_batch(args) -> list[ReplicatePosterior | ReplicateFailure]:
 
 def _batches(cfg: ScenarioConfig, designs: dict, jobs: list) -> list[list]:
     """Split jobs into contiguous batches of one design width each, every
-    batch holding at most ``BATCH_FLOAT_BUDGET`` floats of noise and retained
-    draws."""
-    sweeps = cfg.burn_in + cfg.num_draws * cfg.thinning
+    batch holding at most ``BATCH_FLOAT_BUDGET`` floats of retained draws,
+    gammas and noise blocks."""
     by_width: dict[int, list] = {}
     for job in jobs:
         by_width.setdefault(designs[job[0]].z.shape[1], []).append(job)
     batches = []
     for width, group in by_width.items():
-        fits = BATCH_FLOAT_BUDGET // ((sweeps + cfg.num_draws) * (width + 2))
+        fits = BATCH_FLOAT_BUDGET // _floats_per_chain(width, cfg.num_draws, cfg.burn_in,
+                                                       cfg.thinning)
         count = math.ceil(len(group) / max(1, fits))
         bounds = [len(group) * i // count for i in range(count + 1)]
         batches += [group[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -348,17 +349,17 @@ def _resolve_workers(cfg_workers: int, override: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def extend_ensembles(ensembles: list, count: int, workers: int) -> None:
+def extend_ensembles(ensembles: list, count: int, workers: int) -> list[int]:
     """Bring every ensemble to ``count`` requested replicates in one dispatch.
 
     The new (n, replicate_id) jobs of all sample sizes are sampled in batches
     (``_batches``), each one ``gibbs_sample`` call, on one process pool (in
     this process when there is one batch).  New replicate ids are appended;
-    existing replicates stay untouched.
+    existing replicates stay untouched.  Returns the chain count of each batch.
     """
     growing = [e for e in ensembles if count > e._requested]
     if not growing:
-        return
+        return []
     cfg = growing[0].cfg
     jobs = [(e.n, rid) for e in growing for rid in range(e._requested, count)]
     designs = {e.n: e.design for e in growing}
@@ -380,6 +381,7 @@ def extend_ensembles(ensembles: list, count: int, workers: int) -> None:
         ensemble._report_cache.clear()
         if not ensemble.replicates:
             raise InvalidSpec(f"every replicate failed at n={ensemble.n}: {ensemble.failures[:3]}")
+    return [len(batch) for _, _, batch in items]
 
 
 class DecisionEnsemble:
@@ -480,8 +482,9 @@ class DecisionEnsemble:
 class RunManifest:
     """Reproducibility record: hashes, seeds, versions, outputs, timings.
 
-    Wall-clock entries are informational; every other field is a pure function
-    of the configuration.
+    ``sampling`` is the posterior dispatch: the number of ``gibbs_sample``
+    batches and the chains in each.  Wall-clock entries are informational;
+    every other field is a pure function of the configuration.
     """
 
     scenario_hash: str
@@ -492,6 +495,7 @@ class RunManifest:
     outputs: list
     wallclock: dict
     failures: list
+    sampling: dict
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True))
@@ -653,7 +657,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
     workers = _resolve_workers(cfg.workers, workers)
     for n in cfg.n_grid:
         ensembles[n] = DecisionEnsemble(cfg, n, replicates=0, workers=workers)
-    extend_ensembles(list(ensembles.values()), cfg.replicates, workers)
+    batch_chains = extend_ensembles(list(ensembles.values()), cfg.replicates, workers)
     for ensemble in ensembles.values():
         failures.extend(str(failure) for failure in ensemble.failures)
     wallclock["posterior_sampling"] = time.perf_counter() - t0
@@ -746,6 +750,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
         outputs=sorted(outputs),
         wallclock=wallclock,
         failures=failures,
+        sampling={"batches": len(batch_chains), "chains": batch_chains},
     )
     manifest.to_json(out / "manifest.json")
     return ScenarioResult(

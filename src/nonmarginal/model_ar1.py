@@ -29,6 +29,8 @@ from .exceptions import InfeasibleDesign, InvalidSpec, NumericalFailure
 from .hypotheses import TestSpec
 
 _KERNEL_JITTER = 1e-8
+# sweeps of standard normals a Gibbs chain holds at once
+_NOISE_BLOCK = 512
 # log Φ(-3) and the log mass of N(0, 1) on [-3, 3], as scipy.stats.truncnorm has them
 _LOG_CDF_LOWER = special.log_ndtr(-3.0)
 _LOG_MASS = special.log1p(-special.ndtr(-3.0) - special.ndtr(-3.0))
@@ -201,7 +203,10 @@ class PriorConfig:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorDraws:
-    """Retained posterior sample: rows are draws, columns (rho, sigma2, beta...)."""
+    """Retained posterior sample: rows are draws, columns (rho, sigma2, beta...).
+
+    A float array given as ``draws`` is kept, not copied, and made read-only.
+    """
 
     draws: np.ndarray
     burn_in: int
@@ -209,7 +214,7 @@ class PosteriorDraws:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        draws = np.array(self.draws, dtype=float)
+        draws = np.asarray(self.draws, dtype=float)
         if draws.ndim != 2 or draws.shape[0] < 1 or draws.shape[1] < 3:
             raise InvalidSpec("draws must be an S x (m+3) matrix with S >= 1")
         if not np.all(draws[:, 1] > 0):
@@ -285,7 +290,8 @@ def generate_design(
     ``iid_gaussian_bounded`` draws entries from N(0, scale^2) truncated to
     [-3*scale, 3*scale] by inverse CDF in log space, the same ufuncs on the same
     uniforms as ``scipy.stats.truncnorm.rvs(-3, 3, scale=scale)`` and so the
-    same bits, and centers every non-intercept column.
+    same bits, and centers every non-intercept column.  The uniforms become
+    the design's entries in one buffer, so the peak is a few copies of ``z``.
     ``orthogonalized`` additionally orthogonalizes the columns and rescales them
     so (Z'Z)/n equals diag(1, scale^2, ..., scale^2); its largest eigenvalue is
     recorded in the descriptor.
@@ -301,11 +307,21 @@ def generate_design(
     z = np.ones((n, m + 1))
     descriptor = {"generator": generator, "scale": scale, "seed": _seed_payload(seed), "n": n, "m": m}
     if m > 0:
-        u = rng.uniform(size=(n, m))
-        log_cdf = special.logsumexp(np.broadcast_arrays(_LOG_CDF_LOWER, np.log(u) + _LOG_MASS), axis=0)
-        raw = special.ndtri_exp(log_cdf) * scale + 0.0  # truncnorm's `+ loc` turns -0.0 into 0.0
+        # log CDF = logsumexp(log Φ(-3), log u + log mass): scipy's two-term
+        # ufuncs, hi + log1p(exp(lo - hi)), computed in place
+        lo = np.log(rng.uniform(size=(n, m)))
+        lo += _LOG_MASS
+        hi = np.maximum(lo, _LOG_CDF_LOWER)
+        np.minimum(lo, _LOG_CDF_LOWER, out=lo)
+        lo -= hi
+        np.log1p(np.exp(lo, out=lo), out=lo)
+        lo += hi
+        raw = special.ndtri_exp(lo, out=lo)
+        raw *= scale
+        raw += 0.0  # truncnorm's `+ loc` turns -0.0 into 0.0
         if generator == "iid_gaussian_bounded":
-            z[:, 1:] = raw - raw.mean(axis=0)
+            raw -= raw.mean(axis=0)
+            z[:, 1:] = raw
         else:
             if m + 1 > n:
                 raise InfeasibleDesign(
@@ -362,6 +378,26 @@ def _eigenbasis(covariance: np.ndarray, ztz: np.ndarray) -> tuple[np.ndarray, np
     return chol @ w, lam
 
 
+def _normals(rngs: list, total: int, p: int):
+    """Per sweep, the (R, p) normals of u and the (R, 1) normals of rho.
+
+    Chain r's rows come from ``rngs[r]`` in ``_NOISE_BLOCK``-row blocks, which
+    continue one stream: the same bits as drawing all ``total`` rows at once.
+    """
+    block = np.empty((min(_NOISE_BLOCK, total), len(rngs), p + 1))
+    for start in range(0, total, _NOISE_BLOCK):
+        rows = block[: total - start]
+        for r, rng in enumerate(rngs):
+            rows[:, r] = rng.standard_normal((len(rows), p + 1))
+        yield from zip(rows[:, :, :p], rows[:, :, p:])
+
+
+def _floats_per_chain(width: int, num_draws: int, burn_in: int, thinning: int) -> int:
+    """Floats ``gibbs_sample`` holds per chain: retained draws, gammas, one block of normals."""
+    total = burn_in + num_draws * thinning
+    return num_draws * (width + 2) + total + min(total, _NOISE_BLOCK) * (width + 1)
+
+
 # a chain that overflows becomes a NumericalFailure of its own; the others never see it
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 @one_blas_thread()
@@ -388,12 +424,16 @@ def gibbs_sample(
     The chains are the rows of (R, p) arrays, so one sweep of the batch is the
     same few dozen numpy calls whatever R is.  The datasets must share p but
     may differ in length and design; the basis is computed once per distinct
-    design.  Chain r draws all its noise up front from its own generator
-    ``seeds[r]``: T standard gammas, then T x (p + 1) standard normals, row t
-    holding the p normals of u and the one of rho at sweep t.  Every step is
-    elementwise or a reduction along the chain's own row, so a chain's draws
-    are the same bits in any batch, and a chain that goes non-finite becomes a
-    ``NumericalFailure`` in ``chains`` without touching the others.
+    design.  Chain r draws its noise from its own generator ``seeds[r]``: T
+    standard gammas at once, then T x (p + 1) standard normals in blocks of
+    ``_NOISE_BLOCK`` rows, row t holding the p normals of u and the one of rho
+    at sweep t.  The blocks continue the same stream, so they change no draw,
+    and the batch holds its retained draws, its gammas and one block of
+    normals.  Every step is elementwise or a reduction along the chain's own
+    row, so a chain's draws are the same bits in any batch, and a chain that
+    goes non-finite becomes a ``NumericalFailure`` in ``chains`` without
+    touching the others.  ``chains[r].draws`` is chain r's slice of the
+    batch's one block of retained draws, rotated to beta in place.
     """
     datasets, seeds = list(datasets), list(seeds)
     if not datasets or len(seeds) != len(datasets):
@@ -413,8 +453,8 @@ def gibbs_sample(
     row_basis = []
     lam, a, c = np.empty((3, chains, p))
     xx, xxl, xlxl = np.empty((3, chains, 1))
-    gammas = np.empty((total, chains, 1))
-    normals = np.empty((total, chains, p + 1))
+    rngs = []
+    two_gammas = np.empty((total, chains, 1))
     for r, (data, seed) in enumerate(zip(datasets, seeds)):
         design = data.design
         if id(design) not in bases:
@@ -425,8 +465,9 @@ def gibbs_sample(
         a[r] = basis.T @ ztx
         c[r] = basis.T @ ztxl
         rng = _rng(seed)
-        gammas[:, r, 0] = rng.standard_gamma(prior.sigma2_shape + 0.5 * data.n_obs, size=total)
-        normals[:, r] = rng.standard_normal((total, p + 1))
+        two_gammas[:, r, 0] = rng.standard_gamma(prior.sigma2_shape + 0.5 * data.n_obs, size=total)
+        rngs.append(rng)
+    two_gammas *= 2.0
     # constants enter the sweep as (R, 1) arrays: a Python-float operand costs
     # numpy more per call than the arithmetic on a few chains
     two_a, two_xxl = 2.0 * a, 2.0 * xxl
@@ -438,8 +479,7 @@ def gibbs_sample(
     sigma2 = np.ones((chains, 1))
     kept = np.empty((chains, num_draws, p + 2))
     k = 0
-    noise = zip(normals[:, :, :p], normals[:, :, p:], 2.0 * gammas)
-    for sweep, (z_u, z_rho, two_gamma) in enumerate(noise):
+    for sweep, ((z_u, z_rho), two_gamma) in enumerate(zip(_normals(rngs, total, p), two_gammas)):
         # beta = V u | rho, sigma2: precision (lambda + sigma2) / sigma2 per coordinate
         q = lam + sigma2
         u = (a - rho * c) / q + z_u * np.sqrt(sigma2 / q)
@@ -463,8 +503,8 @@ def gibbs_sample(
             kept[:, k, 2:] = u
             k += 1
 
-    # the noise is spent: free it, and the loop's views of it, before the copies below
-    del noise, normals, gammas, z_u, z_rho
+    # the noise is spent: free it, and the loop's views of it, before beta = U V'
+    del two_gammas, two_gamma, z_u, z_rho
     out = []
     for r, draws in enumerate(kept):
         draws[:, 2:] = draws[:, 2:] @ row_basis[r].T

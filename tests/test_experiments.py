@@ -20,6 +20,7 @@ from nonmarginal.experiments import (
     aggregate_replicate_csv,
     build_replicate_posterior,
 )
+from nonmarginal.model_ar1 import _floats_per_chain
 
 
 class TestScenarioConfig:
@@ -91,8 +92,8 @@ class TestGroupFileOverride:
 
 def _budget_for_chains(cfg, chains):
     """A ``BATCH_FLOAT_BUDGET`` that fits ``chains`` chains of ``cfg`` per batch."""
-    sweeps = cfg.burn_in + cfg.num_draws * cfg.thinning
-    return chains * (sweeps + cfg.num_draws) * (cfg.num_covariates + 3)
+    return chains * _floats_per_chain(cfg.num_covariates + 1, cfg.num_draws, cfg.burn_in,
+                                      cfg.thinning)
 
 
 class TestDeterminism:
@@ -159,6 +160,9 @@ class TestDeterminism:
         m2 = json.loads((out2 / "manifest.json").read_text())
         for key in ("scenario_hash", "master_seed", "replicate_seeds", "outputs", "failures"):
             assert m1[key] == m2[key]
+        # 3 sizes x 3 replicates: one batch, then contiguous batches of at most two
+        assert m1["sampling"] == {"batches": 1, "chains": [9]}
+        assert m2["sampling"] == {"batches": 5, "chains": [1, 2, 2, 2, 2]}
 
 
 class TestDecisionEnsemble:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from nonmarginal import (
     quadratic_limits,
     simulate,
 )
-from nonmarginal import _blas
+from nonmarginal import _blas, model_ar1
 from nonmarginal.model_ar1 import (
     PosteriorDraws,
     _eigenbasis,
@@ -34,6 +35,16 @@ from nonmarginal.model_ar1 import (
     save_design,
     save_draws,
 )
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _direct_log_density(theta, data):
@@ -82,6 +93,10 @@ class TestGenerateDesign:
             z = generate_design(n, m, generator=generator, scale=scale, seed=seed).z
             assert np.array_equal(z[:, 1:], expected)
             assert np.array_equal(z[:, 0], np.ones(n))
+
+    def test_peak_memory_is_a_few_designs(self):
+        design, peak = _traced_peak(generate_design, 2000, 40, seed=7)
+        assert peak <= 8 * design.z.nbytes
 
     def test_orthogonalized_needs_enough_rows(self):
         with pytest.raises(InfeasibleDesign):
@@ -190,6 +205,22 @@ class TestGibbs:
             for i, chain in zip(order, batch.chains):
                 assert np.array_equal(chain.draws, alone[i]), (order, i)
 
+    # 107 sweeps in blocks of 3: edges inside the burn-in, one sweep short of its
+    # end, and on kept and skipped sweeps alike; the 2-sweep chain is shorter
+    # than one block
+    @pytest.mark.parametrize("burn_in,thinning,num_draws", [(7, 2, 50), (1, 1, 1)])
+    def test_noise_blocks_change_no_draw(self, monkeypatch, burn_in, thinning, num_draws):
+        params = Ar1Params(0.4, 1.0, np.array([0.0, 1.0, -0.5]))
+        datasets = [simulate(params, generate_design(n, 2, seed=n), n, seed=n) for n in (30, 90)]
+
+        def draws(block):
+            monkeypatch.setattr(model_ar1, "_NOISE_BLOCK", block)
+            batch = gibbs_sample(datasets, PriorConfig(), num_draws=num_draws, burn_in=burn_in,
+                                 thinning=thinning, seeds=[5, 6])
+            return [chain.draws.tobytes() for chain in batch.chains]
+
+        assert draws(3) == draws(1000)
+
     def test_non_finite_chain_fails_alone(self):
         params = Ar1Params(0.4, 1.0, np.array([0.0, 1.0, -0.5]))
         design = generate_design(80, 2, seed=3)
@@ -261,6 +292,17 @@ class TestGibbs:
     def test_non_psd_prior_covariance_is_reported(self):
         with pytest.raises(NumericalFailure):
             _eigenbasis(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
+
+    def test_draws_are_held_once(self):
+        params = Ar1Params(0.4, 1.0, np.resize([0.0, 1.0, -0.5], 41))
+        design = generate_design(2000, 40, seed=5)
+        datasets = [simulate(params, design, 2000, seed=s) for s in (1, 2)]
+        design.ztz
+        batch, peak = _traced_peak(gibbs_sample, datasets, PriorConfig(), num_draws=4000,
+                                   seeds=[3, 4])
+        # retained draws, plus one chain's U V' product, the gammas and a noise block
+        assert peak <= 1.6 * sum(chain.draws.nbytes for chain in batch.chains)
+        assert batch.chains[0].draws.base is batch.chains[1].draws.base
 
 
 def _wide_batch(num_draws):
