@@ -13,15 +13,12 @@ __version__ = "0.1.0"
 from .calibration import (
     CalibrationResult,
     CurvePoint,
-    additive_feasible_alpha,
     calibrate_penalty,
     feasible_alpha,
-    fnr_under_alpha_control,
     mpbfdr_curve,
 )
 from .decisions import (
     PosteriorIndicators,
-    additive_rule,
     additive_rule_at_penalty,
     alternative_indicators,
     joint_correct_probs,
@@ -56,7 +53,6 @@ from .hypotheses import (
     build_groups,
     connected_components,
     read_group_file,
-    read_truth_file,
     truth_from_params,
     truth_proportions,
     write_group_file,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,13 +25,15 @@ from .decisions import (
     marginal_probs,
     optimize_decisions,
 )
-from .error_rates import posterior_rates, rate_fit
-from .experiments import DecisionEnsemble, ScenarioConfig, design_for, seed_for
+from .error_rates import RateFit, posterior_rates, rate_fit
+from .exceptions import InvalidSpec
+from .experiments import DecisionEnsemble, ScenarioConfig, design_for, rate_fits, seed_for
 from .hypotheses import (
     DecisionConfig,
     GroupStructure,
     TestSpec,
     connected_components,
+    truth_from_params,
 )
 from .model_ar1 import (
     Ar1Params,
@@ -93,17 +95,16 @@ class AcceptanceContext:
             )
         return self._exponent
 
-    def decay_fits(self):
-        """Rate fits of the conditional means of the modified posterior rates."""
+    def decay_fits(self) -> dict[str, RateFit]:
+        """``experiments.rate_fits`` of the nonmarginal rule at ``NONMARGINAL_PENALTY``,
+        by metric."""
         if self._decay is None:
-            reports = {n: self.ensemble(n).frequentist(NONMARGINAL_PENALTY) for n in self.cfg.n_grid}
-            mfdr = [reports[n].mpbfdr if reports[n].mpbfdr is not None else 0.0 for n in self.cfg.n_grid]
-            mfnr = [reports[n].mpbfnr if reports[n].mpbfnr is not None else 0.0 for n in self.cfg.n_grid]
-            self._decay = {
-                "reports": reports,
-                "mfdr_fit": rate_fit("mfdr_xn_mean", mfdr, self.cfg.n_grid, self.exponent.value),
-                "mfnr_fit": rate_fit("mfnr_xn_mean", mfnr, self.cfg.n_grid, self.exponent.value),
-            }
+            reports = {(n, "nonmarginal"): self.ensemble(n).frequentist(NONMARGINAL_PENALTY)
+                       for n in self.cfg.n_grid}
+            fits = rate_fits(reports, self.exponent.value)
+            if not fits:
+                raise InvalidSpec("the decay fits need at least three sample sizes")
+            self._decay = {metric: fit for (_, metric), fit in fits.items()}
         return self._decay
 
 
@@ -214,8 +215,8 @@ def _sci(value: float | None) -> str:
 
 def criterion_3_error_decay(ctx: AcceptanceContext) -> CriterionResult:
     decay = ctx.decay_fits()
-    mfdr_fit, mfnr_fit = decay["mfdr_fit"], decay["mfnr_fit"]
-    final = decay["reports"][ctx.cfg.n_grid[-1]]
+    mfdr_fit, mfnr_fit = decay["mpbfdr"], decay["mpbfnr"]
+    final = ctx.ensemble(ctx.cfg.n_grid[-1]).frequentist(NONMARGINAL_PENALTY)
     ok = True
     for fit in (mfdr_fit, mfnr_fit):
         if fit.degenerate or not fit.slope < 0 or not fit.r_squared >= 0.8:
@@ -253,10 +254,11 @@ def _equipartition_deviation(ctx: AcceptanceContext, theta: Ar1Params, n: int, r
 def criterion_4_equipartition(ctx: AcceptanceContext, reps: int = 20) -> CriterionResult:
     cfg = ctx.cfg
     theta0 = cfg.params_for(cfg.m_for(cfg.n_grid[0]))
+    active = np.arange(theta0.beta.size) == cfg.active_indices[0]
     perturbed = [
-        replace_sigma2(theta0, 1.3 * theta0.sigma2),
-        replace_rho(theta0, theta0.rho + 0.2),
-        replace_coefficient(theta0, cfg.active_indices[0], theta0.beta[cfg.active_indices[0]] + 0.3),
+        replace(theta0, sigma2=1.3 * theta0.sigma2),
+        replace(theta0, rho=theta0.rho + 0.2),
+        replace(theta0, beta=np.where(active, theta0.beta + 0.3, theta0.beta)),
     ]
     ok = True
     details = []
@@ -267,20 +269,6 @@ def criterion_4_equipartition(ctx: AcceptanceContext, reps: int = 20) -> Criteri
             ok = False
         details.append(f"theta{k}: 250->{small:.4f}, 4000->{large:.4f}")
     return CriterionResult(4, "equipartition", ok, "; ".join(details))
-
-
-def replace_sigma2(theta: Ar1Params, sigma2: float) -> Ar1Params:
-    return Ar1Params(theta.rho, sigma2, theta.beta.copy())
-
-
-def replace_rho(theta: Ar1Params, rho: float) -> Ar1Params:
-    return Ar1Params(rho, theta.sigma2, theta.beta.copy())
-
-
-def replace_coefficient(theta: Ar1Params, index: int, value: float) -> Ar1Params:
-    beta = theta.beta.copy()
-    beta[index] = value
-    return Ar1Params(theta.rho, theta.sigma2, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +284,10 @@ def _on_wrong_side(theta: Ar1Params, theta0: Ar1Params, spec: TestSpec, hypothes
     """
     coef = spec.coefficient_of_hypothesis(hypothesis)
     if coef is None:
-        value, value0, bound = abs(theta.rho), abs(theta0.rho), spec.rho_null_bound
-        alternative_true = value0 >= bound
+        value, bound = abs(theta.rho), spec.rho_null_bound
     else:
-        value, value0, bound = abs(theta.beta[coef]), abs(theta0.beta[coef]), spec.null_radius
-        alternative_true = value0 > bound
+        value, bound = abs(theta.beta[coef]), spec.null_radius
+    alternative_true = truth_from_params(theta0, spec).alt_true[hypothesis]
     return bool(value <= bound if alternative_true else value >= bound)
 
 
@@ -319,13 +306,13 @@ def criterion_5_exponent_sanity(ctx: AcceptanceContext) -> CriterionResult:
     attained = abs(h_at_argmin - exponent.value) <= 1e-12
     wrong = _on_wrong_side(argmin, theta0, ensemble.spec, exponent.argmin_hypothesis)
     decay = ctx.decay_fits()
-    slope = decay["mfdr_fit"].slope
+    slope = decay["mpbfdr"].slope
     ok = (
         h_at_truth == 0.0
         and exponent.value >= -1e-9
         and attained
         and wrong
-        and (decay["mfdr_fit"].degenerate or slope <= 0)
+        and (decay["mpbfdr"].degenerate or slope <= 0)
     )
     return CriterionResult(
         5,

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from .error_rates import FrequentistErrorReport, RateFit, rate_fit
 from .exceptions import InvalidSpec
 
 
@@ -24,23 +23,14 @@ def feasible_alpha(alt_share: float, signal_group_share: float) -> tuple[float, 
 
     The ceiling (1 - q) / (1 + p - q), with p the share of true alternatives
     and q the share of groups touching one, shrinks to zero as q approaches
-    one and grows toward one as p approaches zero.  Callers must pick a target
-    strictly inside the interval.
+    one and grows toward one as p approaches zero.  With singleton groups
+    (q = p) it is the null share 1 - p, the ceiling of the additive rule.
+    Callers must pick a target strictly inside the interval.
     """
     if not 0.0 < alt_share < 1.0 or not 0.0 < signal_group_share < 1.0:
         raise InvalidSpec("shares must lie strictly inside (0, 1)")
     ceiling = (1.0 - signal_group_share) / (1.0 + alt_share - signal_group_share)
     return (0.0, ceiling)
-
-
-def additive_feasible_alpha(null_share: float) -> tuple[float, float]:
-    """Attainable targets for the marginal thresholding rule: (0, null share).
-
-    Empty (0, 0) when no null hypothesis is true.
-    """
-    if not 0.0 <= null_share < 1.0:
-        raise InvalidSpec("null share must lie in [0, 1)")
-    return (0.0, null_share)
 
 
 @dataclass(frozen=True)
@@ -198,18 +188,3 @@ def calibrate_penalty(
         "iteration cap reached", tuple(history),
     )
 
-
-def fnr_under_alpha_control(
-    ns: Sequence[int],
-    reports: Sequence[FrequentistErrorReport],
-    exponent_reference: float,
-) -> RateFit:
-    """Decay fit of the replicate-averaged posterior FNR at calibrated penalties.
-
-    ``reports`` holds one frequentist report per sample size, each evaluated at
-    that size's calibrated penalty; undefined rates terminate the usable range.
-    """
-    if len(ns) != len(reports):
-        raise InvalidSpec("sample sizes and reports disagree on length")
-    values = [r.pbfnr if r.pbfnr is not None else 0.0 for r in reports]
-    return rate_fit("pbfnr", values, ns, exponent_reference)

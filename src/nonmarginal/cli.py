@@ -67,7 +67,7 @@ def _load_config(args) -> ScenarioConfig:
 def _add_common(parser):
     parser.add_argument("--config", type=str, default=None, help="scenario config JSON")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument("--workers", type=int, default=None, help="parallel worker count")
+    parser.add_argument("--workers", type=int, default=None, help="parallel worker count (0 = all usable cores)")
     parser.add_argument("--out", type=str, default="out", help="output directory")
 
 
@@ -93,6 +93,8 @@ def _cmd_decide(args) -> int:
     cfg = _load_config(args)
     if args.penalty is not None and args.cost is not None:
         raise InvalidSpec("give either --penalty or --cost, not both")
+    if args.cost is not None and not args.cost > 0:
+        raise InvalidSpec("--cost must be positive")
     draws = load_draws(args.draws)
     spec = cfg.spec_for(draws.num_coefficients - 1)
     if args.cost is not None:

@@ -70,20 +70,9 @@ class OptimizerConfig:
 
 
 def alternative_indicators(draws: PosteriorDraws, spec: TestSpec) -> PosteriorIndicators:
-    """Mark, per draw, which hypotheses' alternatives the draw satisfies.
-
-    The autoregression alternative is ``|rho| >= rho_null_bound``; coefficient
-    alternatives are ``|b_i| > null_radius`` with the boundary kept in the null.
-    """
-    if draws.num_coefficients != spec.num_covariates + 1:
-        raise InvalidSpec("draw columns and spec dimensions disagree")
-    s = draws.num_draws
-    ind = np.zeros((s, spec.num_hypotheses), dtype=bool)
-    if spec.include_rho_test:
-        ind[:, 0] = np.abs(draws.rho) >= spec.rho_null_bound
-    for i in range(spec.num_covariates + 1):
-        ind[:, spec.coefficient_hypothesis(i)] = np.abs(draws.beta[:, i]) > spec.null_radius
-    return PosteriorIndicators(ind, spec)
+    """Mark, per draw, which hypotheses' alternatives the draw satisfies
+    (``TestSpec.alternatives``)."""
+    return PosteriorIndicators(spec.alternatives(draws.rho, draws.beta), spec)
 
 
 def marginal_probs(indicators: PosteriorIndicators) -> np.ndarray:
@@ -123,22 +112,14 @@ def penalized_objective(
 
 
 def additive_rule_at_penalty(marginals: np.ndarray, penalty: float) -> DecisionConfig:
-    """Reject every hypothesis whose marginal alternative probability exceeds the penalty."""
+    """Reject every hypothesis whose marginal alternative probability exceeds the penalty.
+
+    At the penalty ``c / (1 + c)`` this minimizes the posterior risk of a loss
+    that charges ``c`` per false discovery and one per missed discovery.
+    """
     if not 0.0 <= penalty < 1.0:
         raise InvalidSpec("penalty must lie in [0, 1)")
     return DecisionConfig(np.asarray(marginals) > penalty)
-
-
-def additive_rule(marginals: np.ndarray, cost: float) -> DecisionConfig:
-    """Marginal thresholding rule: reject when the alternative probability
-    exceeds cost / (1 + cost), the posterior-risk minimizer under a loss that
-    charges ``cost`` per false discovery and one per missed discovery.
-    """
-    if not cost > 0:
-        raise InvalidSpec("cost must be positive")
-    return additive_rule_at_penalty(marginals, cost / (1.0 + cost))
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,6 @@ class PosteriorErrorReport:
     fnr_xn: float
     mfdr_xn: float
     mfnr_xn: float
-    rejection_count: int
-    acceptance_count: int
 
 
 @dataclass(frozen=True)
@@ -101,16 +99,13 @@ def posterior_rates(
     if v.size != d.size or w.size != d.size:
         raise InvalidSpec("rate inputs disagree on the hypothesis count")
     rejections = d.sum()
-    acceptances = d.size - rejections
     denom_r = max(rejections, 1.0)
-    denom_a = max(acceptances, 1.0)
+    denom_a = max(d.size - rejections, 1.0)
     return PosteriorErrorReport(
         fdr_xn=float(np.dot(d, 1.0 - v) / denom_r),
         fnr_xn=float(np.dot(1.0 - d, v) / denom_a),
         mfdr_xn=float(np.dot(d, 1.0 - w) / denom_r),
         mfnr_xn=float(np.dot(1.0 - d, w) / denom_a),
-        rejection_count=int(rejections),
-        acceptance_count=int(acceptances),
     )
 
 

@@ -128,7 +128,7 @@ class ScenarioConfig:
     burn_in: int = 1000
     thinning: int = 1
     master_seed: int = 20260809
-    workers: int = 0  # 0 = all available cores
+    workers: int = 0  # 0 = all usable cores
 
     def __post_init__(self):
         self.n_grid = tuple(int(n) for n in self.n_grid)
@@ -147,6 +147,16 @@ class ScenarioConfig:
             raise InvalidSpec("master_seed must be non-negative")
         if not 0.0 <= self.penalty < 1.0:
             raise InvalidSpec("penalty must lie in [0, 1)")
+        if not self.additive_cost > 0:
+            raise InvalidSpec("additive_cost must be positive")
+        if self.target_alpha is not None and not 0.0 < self.target_alpha < 1.0:
+            raise InvalidSpec("target_alpha must lie strictly inside (0, 1)")
+        if not self.calibration_tolerance > 0:
+            raise InvalidSpec("calibration_tolerance must be positive")
+        if self.num_draws < 1 or self.burn_in < 0 or self.thinning < 1:
+            raise InvalidSpec("need num_draws >= 1, burn_in >= 0 and thinning >= 1")
+        if self.workers < 0:
+            raise InvalidSpec("workers must be non-negative (0 = all usable cores)")
         m_min = self.m_for(self.n_grid[0])
         if any(not 0 <= i <= m_min for i in self.active_indices):
             raise InvalidSpec("active indices must fit the smallest covariate count on the grid")
@@ -340,10 +350,12 @@ def _parallel_map(fn, items, workers: int):
 
 
 def _resolve_workers(cfg_workers: int, override: int | None) -> int:
-    if override is not None:
-        return max(1, override)
-    if cfg_workers > 0:
-        return cfg_workers
+    """``override`` if given, else ``cfg_workers``; 0 means every usable core."""
+    workers = cfg_workers if override is None else override
+    if workers < 0:
+        raise InvalidSpec("workers must be non-negative (0 = all usable cores)")
+    if workers > 0:
+        return workers
     if hasattr(os, "sched_getaffinity"):  # the cores this process may run on
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -483,14 +495,14 @@ class RunManifest:
     """Reproducibility record: hashes, seeds, versions, outputs, timings.
 
     ``sampling`` is the posterior dispatch: the number of ``gibbs_sample``
-    batches and the chains in each.  Wall-clock entries are informational;
+    batches and the chains in each.  Every replicate's streams follow from
+    ``master_seed`` by ``seed_for``.  Wall-clock entries are informational;
     every other field is a pure function of the configuration.
     """
 
     scenario_hash: str
     master_seed: int
     n_grid: list
-    replicate_seeds: dict
     versions: dict
     outputs: list
     wallclock: dict
@@ -737,10 +749,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
         scenario_hash=cfg.scenario_hash(),
         master_seed=cfg.master_seed,
         n_grid=list(cfg.n_grid),
-        replicate_seeds={
-            str(n): [[cfg.master_seed, n, rid] for rid in range(cfg.replicates)]
-            for n in cfg.n_grid
-        },
         versions={
             "package": _package_version,
             "numpy": np.__version__,

@@ -378,20 +378,6 @@ def _eigenbasis(covariance: np.ndarray, ztz: np.ndarray) -> tuple[np.ndarray, np
     return chol @ w, lam
 
 
-def _normals(rngs: list, total: int, p: int):
-    """Per sweep, the (R, p) normals of u and the (R, 1) normals of rho.
-
-    Chain r's rows come from ``rngs[r]`` in ``_NOISE_BLOCK``-row blocks, which
-    continue one stream: the same bits as drawing all ``total`` rows at once.
-    """
-    block = np.empty((min(_NOISE_BLOCK, total), len(rngs), p + 1))
-    for start in range(0, total, _NOISE_BLOCK):
-        rows = block[: total - start]
-        for r, rng in enumerate(rngs):
-            rows[:, r] = rng.standard_normal((len(rows), p + 1))
-        yield from zip(rows[:, :, :p], rows[:, :, p:])
-
-
 def _floats_per_chain(width: int, num_draws: int, burn_in: int, thinning: int) -> int:
     """Floats ``gibbs_sample`` holds per chain: retained draws, gammas, one block of normals."""
     total = burn_in + num_draws * thinning
@@ -479,32 +465,42 @@ def gibbs_sample(
     sigma2 = np.ones((chains, 1))
     kept = np.empty((chains, num_draws, p + 2))
     k = 0
-    for sweep, ((z_u, z_rho), two_gamma) in enumerate(zip(_normals(rngs, total, p), two_gammas)):
-        # beta = V u | rho, sigma2: precision (lambda + sigma2) / sigma2 per coordinate
-        q = lam + sigma2
-        u = (a - rho * c) / q + z_u * np.sqrt(sigma2 / q)
+    # one block of noise rows at a time, split so the sweep reads contiguous u and rho parts
+    block = min(_NOISE_BLOCK, total)
+    z_us, z_rhos = np.empty((block, chains, p)), np.empty((block, chains, 1))
+    for start in range(0, total, block):
+        rows = min(block, total - start)
+        for r, rng in enumerate(rngs):
+            noise = rng.standard_normal((rows, p + 1))
+            z_us[:rows, r] = noise[:, :p]
+            z_rhos[:rows, r] = noise[:, p:]
+        for sweep, z_u, z_rho, two_gamma in zip(range(start, start + rows), z_us, z_rhos,
+                                                 two_gammas[start:]):
+            # beta = V u | rho, sigma2: precision (lambda + sigma2) / sigma2 per coordinate
+            q = lam + sigma2
+            u = (a - rho * c) / q + z_u * np.sqrt(sigma2 / q)
 
-        # rho | beta, sigma2: precision (x_lag'x_lag + rho_prec0 sigma2) / sigma2
-        uc = np.add.reduce(u * c, axis=1, keepdims=True)
-        q_rho = xlxl + rho_prec0 * sigma2
-        rho = (xxl - uc) / q_rho + z_rho * np.sqrt(sigma2 / q_rho)
+            # rho | beta, sigma2: precision (x_lag'x_lag + rho_prec0 sigma2) / sigma2
+            uc = np.add.reduce(u * c, axis=1, keepdims=True)
+            q_rho = xlxl + rho_prec0 * sigma2
+            rho = (xxl - uc) / q_rho + z_rho * np.sqrt(sigma2 / q_rho)
 
-        # sigma2 | beta, rho = (rate + ssr / 2) / gamma, ssr = |x - rho x_lag - Z V u|^2
-        ssr = (
-            xx
-            + rho * (rho * xlxl - two_xxl + uc + uc)
-            + np.add.reduce(u * (lam * u - two_a), axis=1, keepdims=True)
-        )
-        sigma2 = (two_rate + np.maximum(ssr, zero)) / two_gamma
+            # sigma2 | beta, rho = (rate + ssr / 2) / gamma, ssr = |x - rho x_lag - Z V u|^2
+            ssr = (
+                xx
+                + rho * (rho * xlxl - two_xxl + uc + uc)
+                + np.add.reduce(u * (lam * u - two_a), axis=1, keepdims=True)
+            )
+            sigma2 = (two_rate + np.maximum(ssr, zero)) / two_gamma
 
-        if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
-            kept[:, k, :1] = rho
-            kept[:, k, 1:2] = sigma2
-            kept[:, k, 2:] = u
-            k += 1
+            if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
+                kept[:, k, :1] = rho
+                kept[:, k, 1:2] = sigma2
+                kept[:, k, 2:] = u
+                k += 1
 
     # the noise is spent: free it, and the loop's views of it, before beta = U V'
-    del two_gammas, two_gamma, z_u, z_rho
+    del two_gammas, two_gamma, z_us, z_rhos, z_u, z_rho, noise
     out = []
     for r, draws in enumerate(kept):
         draws[:, 2:] = draws[:, 2:] @ row_basis[r].T
@@ -682,11 +678,6 @@ def _write_sidecar(path: Path, payload: dict) -> None:
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _read_sidecar(path: Path) -> dict:
-    sidecar = path.with_suffix(path.suffix + ".json")
-    return json.loads(sidecar.read_text()) if sidecar.exists() else {}
-
-
 def save_design(path, design: CovariateDesign) -> None:
     path = Path(path)
     header = ",".join(["z0"] + [f"z{i}" for i in range(1, design.z.shape[1])])
@@ -700,24 +691,7 @@ def save_dataset(path, data: Dataset) -> None:
     _write_sidecar(path, {"seed": data.seed, "x0": data.x0, "design": data.design.descriptor})
 
 
-def save_draws(path, draws: PosteriorDraws) -> None:
-    path = Path(path)
-    m = draws.num_coefficients - 1
-    header = ",".join(["rho", "sigma2"] + [f"beta{i}" for i in range(m + 1)])
-    np.savetxt(path, draws.draws, delimiter=",", header=header, comments="", fmt="%.17g")
-    _write_sidecar(
-        path,
-        {"burn_in": draws.burn_in, "thinning": draws.thinning, "diagnostics": draws.diagnostics},
-    )
-
-
 def load_draws(path) -> PosteriorDraws:
-    path = Path(path)
+    """Draws from a CSV of one header line, then one row (rho, sigma2, beta...) per draw."""
     arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    meta = _read_sidecar(path)
-    return PosteriorDraws(
-        arr,
-        burn_in=int(meta.get("burn_in", 0)),
-        thinning=int(meta.get("thinning", 1)),
-        diagnostics=meta.get("diagnostics", {}),
-    )
+    return PosteriorDraws(arr, burn_in=0, thinning=1)

@@ -59,7 +59,8 @@ def test_criterion_3_fails_on_an_undefined_final_rate():
     )
     stub = SimpleNamespace(
         cfg=SimpleNamespace(n_grid=ns),
-        decay_fits=lambda: {"reports": {ns[-1]: final}, "mfdr_fit": fit, "mfnr_fit": fit},
+        decay_fits=lambda: {"mpbfdr": fit, "mpbfnr": fit},
+        ensemble=lambda n: SimpleNamespace(frequentist=lambda penalty: final),
     )
     result = criterion_3_error_decay(stub)
     assert not result.passed
@@ -104,7 +105,7 @@ def test_modified_rates_also_decay_monotonically(ctx):
 def test_fnr_declines_under_calibrated_penalties(ctx):
     """With the penalty calibrated to 0.1 at each n, the averaged posterior FNR
     trends to zero and its log-decay slope against n is negative."""
-    from nonmarginal import calibrate_penalty, fnr_under_alpha_control
+    from nonmarginal import calibrate_penalty
 
     reports = []
     for n in ctx.cfg.n_grid:
@@ -114,7 +115,7 @@ def test_fnr_declines_under_calibrated_penalties(ctx):
             max_iterations=ctx.cfg.calibration_max_iterations,
         )
         reports.append(ctx.ensemble(n).frequentist(result.beta_hat))
-    fit = fnr_under_alpha_control(ctx.cfg.n_grid, reports, ctx.exponent.value)
+    fit = rate_fit("pbfnr", [r.pbfnr for r in reports], ctx.cfg.n_grid, ctx.exponent.value)
     first, last = reports[0].pbfnr, reports[-1].pbfnr
     assert last is not None and first is not None and last < first
     assert fit.degenerate or fit.slope < 0.0

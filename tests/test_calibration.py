@@ -7,14 +7,12 @@ import pytest
 
 from nonmarginal import (
     InvalidSpec,
-    additive_feasible_alpha,
     calibrate_penalty,
     feasible_alpha,
-    fnr_under_alpha_control,
     mpbfdr_curve,
+    rate_fit,
 )
 from nonmarginal.calibration import CurvePoint
-from nonmarginal.error_rates import FrequentistErrorReport
 
 
 class TestFeasibleAlpha:
@@ -52,16 +50,19 @@ class TestFeasibleAlpha:
 
 
 class TestAdditiveFeasibleAlpha:
+    """Singleton groups make the signal-group share the alternative share, and
+    the ceiling the null share."""
+
     def test_half_nulls(self):
-        assert additive_feasible_alpha(0.5) == (0.0, 0.5)
+        assert feasible_alpha(0.5, 0.5) == (0.0, 0.5)
 
     def test_no_nulls_empty_interval(self):
-        lo, hi = additive_feasible_alpha(0.0)
-        assert hi <= lo  # empty: nothing is attainable
+        with pytest.raises(InvalidSpec):
+            feasible_alpha(1.0, 1.0)  # nothing is attainable
 
     def test_validation(self):
         with pytest.raises(InvalidSpec):
-            additive_feasible_alpha(1.0)
+            feasible_alpha(0.0, 0.0)
 
 
 class _LinearEnsemble:
@@ -164,24 +165,19 @@ class TestCurve:
             mpbfdr_curve(_LinearEnsemble(), [0.1, 1.0])
 
 
-def _fnr_report(pbfnr):
-    return FrequentistErrorReport(
-        pfdr=None, pfnr=None, pbfdr=None, pbfnr=pbfnr, mpbfdr=None, mpbfnr=None,
-        standard_errors={}, n_replicates=10, n_conditioning_fdr=10, n_conditioning_fnr=10,
-    )
-
-
 class TestFnrUnderAlphaControl:
+    """The FNR at calibrated penalties is fitted like any other rate."""
+
     def test_synthetic_exponential(self):
         ns = (100, 200, 400)
-        fit = fnr_under_alpha_control(ns, [_fnr_report(math.exp(-0.05 * n)) for n in ns], 0.05)
+        fit = rate_fit("pbfnr", [math.exp(-0.05 * n) for n in ns], ns, 0.05)
         assert abs(fit.slope + 0.05) < 1e-10
 
     def test_perfect_tail_goes_degenerate(self):
         ns = (100, 200, 400)
-        fit = fnr_under_alpha_control(ns, [_fnr_report(0.0) for _ in ns], 0.05)
+        fit = rate_fit("pbfnr", [0.0 for _ in ns], ns, 0.05)
         assert fit.degenerate
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidSpec):
-            fnr_under_alpha_control((100, 200, 300), [_fnr_report(0.1)], 0.0)
+            rate_fit("pbfnr", [0.1], (100, 200, 300), 0.0)

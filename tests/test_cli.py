@@ -2,11 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from nonmarginal import PriorConfig, experiments, generate_design, gibbs_sample, simulate
 from nonmarginal.cli import main
-from nonmarginal.model_ar1 import save_draws
 
 
 @pytest.fixture
@@ -36,16 +36,23 @@ def test_simulate_writes_artifacts(config_path, tmp_path):
     assert (out / "truth.txt").read_text().strip() == "00100"
 
 
-def test_decide_runs_on_saved_draws(config_path, tmp_path, tiny_cfg):
+@pytest.fixture
+def draws_path(tmp_path, tiny_cfg):
+    """A posterior draws CSV as ``decide`` reads it."""
     design = generate_design(60, tiny_cfg.num_covariates, seed=1)
     params = tiny_cfg.params_for(tiny_cfg.num_covariates)
     data = simulate(params, design, 60, seed=2)
     draws = gibbs_sample([data], PriorConfig(), num_draws=60, burn_in=30, seeds=[3]).chains[0]
-    draws_path = tmp_path / "draws.csv"
-    save_draws(draws_path, draws)
+    path = tmp_path / "draws.csv"
+    np.savetxt(path, draws.draws, delimiter=",", header="rho,sigma2,beta0,beta1,beta2,beta3",
+               comments="", fmt="%.17g")
+    return str(path)
+
+
+def test_decide_runs_on_saved_draws(config_path, tmp_path, draws_path):
     out = tmp_path / "dec"
     assert main(
-        ["decide", "--config", config_path, "--draws", str(draws_path),
+        ["decide", "--config", config_path, "--draws", draws_path,
          "--cost", "1.0", "--out", str(out)]
     ) == 0
     lines = (out / "decisions.csv").read_text().splitlines()
@@ -58,6 +65,14 @@ def test_decide_rejects_conflicting_flags(config_path, tmp_path):
     assert main(
         ["decide", "--config", config_path, "--draws", "missing.csv",
          "--penalty", "0.5", "--cost", "1.0"]
+    ) == 2
+
+
+@pytest.mark.parametrize("cost", ["0", "-1"])
+def test_decide_rejects_a_cost_that_is_not_positive(config_path, tmp_path, draws_path, cost):
+    assert main(
+        ["decide", "--config", config_path, "--draws", draws_path, "--cost", cost,
+         "--out", str(tmp_path / "dec")]
     ) == 2
 
 

@@ -15,8 +15,8 @@ from nonmarginal import (
     InvalidSpec,
     PosteriorIndicators,
     PriorConfig,
+    ScenarioConfig,
     TestSpec,
-    additive_rule,
     additive_rule_at_penalty,
     alternative_indicators,
     connected_components,
@@ -83,7 +83,7 @@ def _exact_objective(config, indicators, groups, penalty):
     correct = indicators.ind == config.bits
     hits = sum(int(correct[:, sorted(groups.groups[i])].all(axis=1).sum())
                for i in np.flatnonzero(config.bits))
-    return Fraction(hits, indicators.num_draws) - Fraction(penalty) * config.rejection_count
+    return Fraction(hits, indicators.num_draws) - Fraction(penalty) * int(config.bits.sum())
 
 
 def _mask_oracle(indicators, groups, config):
@@ -279,12 +279,13 @@ class TestObjective:
 class TestAdditiveRule:
     def test_unit_cost_threshold_is_half(self):
         v = np.array([0.49, 0.5, 0.51])
-        config = additive_rule(v, 1.0)
+        config = additive_rule_at_penalty(v, 1.0 / (1.0 + 1.0))
         assert config.bits.tolist() == [False, False, True]  # strict inequality
 
     def test_threshold_value_not_rejected(self):
         v = np.array([0.25])
-        assert not additive_rule(v, 1.0 / 3.0).bits[0]  # c/(1+c) = 0.25 exactly
+        cost = 1.0 / 3.0
+        assert not additive_rule_at_penalty(v, cost / (1.0 + cost)).bits[0]  # 0.25 exactly
 
     def test_zero_penalty_limit_rejects_any_alternative_mass(self):
         v = np.array([0.0, 1e-4, 0.9])
@@ -292,8 +293,9 @@ class TestAdditiveRule:
         assert config.bits.tolist() == [False, True, True]
 
     def test_cost_must_be_positive(self):
-        with pytest.raises(InvalidSpec):
-            additive_rule(np.array([0.5]), 0.0)
+        for cost in (0.0, -1.0):
+            with pytest.raises(InvalidSpec, match="additive_cost"):
+                ScenarioConfig(additive_cost=cost)
 
 
 class TestOptimizer:
@@ -419,7 +421,7 @@ class TestOptimizer:
             ind, groups, _ = _random_problem(rng, max_h=8)
             partition = connected_components(groups)
             counts = [
-                optimize_decisions(ind, groups, partition, b).rejection_count for b in grid
+                optimize_decisions(ind, groups, partition, b).bits.sum() for b in grid
             ]
             assert all(b <= a for a, b in zip(counts, counts[1:]))
 

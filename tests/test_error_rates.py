@@ -24,7 +24,6 @@ class TestPosteriorRates:
         v = np.array([0.2, 0.9, 0.5])
         report = posterior_rates(v, v, DecisionConfig.all_accept(3))
         assert report.fdr_xn == 0.0
-        assert report.rejection_count == 0
         assert report.fnr_xn == pytest.approx(v.sum() / 3)
 
     def test_no_acceptance_guard(self):

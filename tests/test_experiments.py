@@ -41,6 +41,14 @@ class TestScenarioConfig:
         with pytest.raises(InvalidSpec):
             ScenarioConfig(replicates=0)
 
+    @pytest.mark.parametrize("field, value", [  # additive_cost: tests/test_decisions.py
+        ("num_draws", 0), ("burn_in", -1), ("thinning", 0), ("target_alpha", 0.0),
+        ("target_alpha", 1.0), ("calibration_tolerance", 0.0), ("workers", -1),
+    ])
+    def test_fields_are_checked_at_construction(self, field, value):
+        with pytest.raises(InvalidSpec, match=field):
+            ScenarioConfig(**{field: value})
+
     def test_active_indices_must_fit_smallest_m(self):
         with pytest.raises(InvalidSpec):
             ScenarioConfig(
@@ -71,6 +79,19 @@ class TestScenarioConfig:
         assert experiments._resolve_workers(0, 2) == 2
         monkeypatch.delattr(os, "sched_getaffinity")
         assert experiments._resolve_workers(0, None) == 8
+
+    def test_workers_zero_means_every_usable_core(self, tiny_cfg, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        pools = []
+
+        def in_process(fn, items, workers):
+            pools.append(workers)
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(experiments, "_parallel_map", in_process)
+        assert DecisionEnsemble(tiny_cfg, 40, replicates=1, workers=0).workers == 3
+        run_scenario(tiny_cfg, tmp_path, workers=0)
+        assert pools == [3, 3]
 
 
 class TestGroupFileOverride:
@@ -158,7 +179,7 @@ class TestDeterminism:
             assert (out1 / name).read_text() == (out2 / name).read_text()
         m1 = json.loads((out1 / "manifest.json").read_text())
         m2 = json.loads((out2 / "manifest.json").read_text())
-        for key in ("scenario_hash", "master_seed", "replicate_seeds", "outputs", "failures"):
+        for key in ("scenario_hash", "master_seed", "outputs", "failures"):
             assert m1[key] == m2[key]
         # 3 sizes x 3 replicates: one batch, then contiguous batches of at most two
         assert m1["sampling"] == {"batches": 1, "chains": [9]}

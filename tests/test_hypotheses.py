@@ -9,13 +9,15 @@ from nonmarginal import (
     Ar1Params,
     GroupStructure,
     InvalidSpec,
+    PosteriorDraws,
     TestSpec,
     TruthAssignment,
+    alternative_indicators,
     build_groups,
     connected_components,
+    feasible_alpha,
     generate_design,
     read_group_file,
-    read_truth_file,
     truth_from_params,
     truth_proportions,
     write_group_file,
@@ -75,6 +77,30 @@ class TestTruthFromParams:
             jitter = rng.uniform(-0.04, 0.04, size=3)  # smaller than every boundary gap
             perturbed = truth_from_params(Ar1Params(0.5, 1.0, base + jitter), self.spec)
             assert perturbed == reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_indicators_of_a_one_draw_posterior(self, data):
+        spec = TestSpec(
+            num_covariates=data.draw(st.integers(1, 4)),
+            include_rho_test=data.draw(st.booleans()),
+            null_radius=data.draw(st.sampled_from([0.1, 0.25, 1.0])),
+            rho_null_bound=data.draw(st.sampled_from([0.5, 1.0])),
+        )
+
+        def values(bound):  # the boundary itself, in both signs, and around it
+            return st.one_of(st.sampled_from([-bound, bound, 0.0]),
+                             st.floats(-3.0 * bound, 3.0 * bound))
+
+        rho = data.draw(values(spec.rho_null_bound))
+        beta = data.draw(st.lists(values(spec.null_radius), min_size=spec.num_covariates + 1,
+                                  max_size=spec.num_covariates + 1))
+        truth = truth_from_params(Ar1Params(rho, 1.0, np.array(beta)), spec)
+        draws = PosteriorDraws(np.array([[rho, 1.0, *beta]]), burn_in=0, thinning=1)
+        (row,) = alternative_indicators(draws, spec).ind
+        expected = [abs(rho) >= spec.rho_null_bound] * spec.include_rho_test
+        expected += [abs(b) > spec.null_radius for b in beta]
+        assert truth.alt_true.tolist() == row.tolist() == expected
 
 
 class TestBuildGroups:
@@ -222,14 +248,15 @@ class TestTruthProportions:
         assert shares.alt_share == 0.5
         assert shares.signal_group_share == 0.5
         assert shares.null_share == 0.5
-        assert shares.fdr_ceiling == 0.5
+        assert feasible_alpha(shares.alt_share, shares.signal_group_share) == (0.0, 0.5)
 
     def test_all_nulls_true(self):
         groups = GroupStructure.singletons(3)
         truth = TruthAssignment(np.zeros(3, dtype=bool))
         shares = truth_proportions(groups, truth)
         assert (shares.alt_share, shares.signal_group_share, shares.null_share) == (0, 0, 1)
-        assert shares.fdr_ceiling == 1.0
+        with pytest.raises(InvalidSpec):  # without an alternative no target is constrained
+            feasible_alpha(shares.alt_share, shares.signal_group_share)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.booleans(), min_size=1, max_size=12), st.randoms(use_true_random=False))
@@ -242,7 +269,13 @@ class TestTruthProportions:
         shares = truth_proportions(
             GroupStructure(tuple(groups)), TruthAssignment(np.array(alts, dtype=bool))
         )
-        assert 0.0 <= shares.fdr_ceiling <= 1.0
+        p, q = shares.alt_share, shares.signal_group_share
+        assert p <= q  # every alternative's own group touches it
+        if 0.0 < p and q < 1.0:
+            assert 0.0 < feasible_alpha(p, q)[1] <= 1.0
+        else:
+            with pytest.raises(InvalidSpec):
+                feasible_alpha(p, q)
 
 
 class TestFiles:
@@ -258,11 +291,5 @@ class TestFiles:
         truth = TruthAssignment(np.array([True, False, True]))
         path = tmp_path / "truth.txt"
         write_truth_file(path, truth)
-        assert read_truth_file(path) == truth
-        assert path.read_text().strip() == "101"
-
-    def test_truth_file_rejects_garbage(self, tmp_path):
-        path = tmp_path / "truth.txt"
-        path.write_text("10x1\n")
-        with pytest.raises(InvalidSpec):
-            read_truth_file(path)
+        assert path.read_text() == "101\n"
+        assert TruthAssignment([bit == "1" for bit in path.read_text().strip()]) == truth

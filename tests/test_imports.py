@@ -1,8 +1,10 @@
 """The package loads numpy and scipy.special only, so a fresh process starts fast.
 
 Importing it looks up numpy's OpenBLAS thread count but leaves it as it was.
+Every name it exports has a caller inside the package.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,10 @@ import nonmarginal
 from nonmarginal import _blas
 
 HEAVY = ("scipy.stats", "scipy.sparse", "scipy.linalg", "scipy.optimize")
+
+PACKAGE = Path(nonmarginal.__file__).parent
+# called only by the benchmark tracer under bench/, which wraps it by name
+BENCH_ONLY = {"build_replicate_posterior"}
 
 PROBE = """
 import sys
@@ -66,3 +72,21 @@ def test_import_leaves_the_blas_thread_count_alone():
     if _blas._THREADS is None:
         pytest.skip("numpy does not run on its bundled OpenBLAS")
     assert _run_fresh(THREADS_PROBE).split() == ["3"]
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    """Exports, and public module-level functions and classes, that no module
+    of the package reads are code that only tests reach."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    names = {alias.asname or alias.name for node in init.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names |= {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")}
+        used |= {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert sorted(names - used - BENCH_ONLY) == []
