@@ -100,7 +100,6 @@ class CalibrationResult:
     target_alpha: float
     beta_hat: float
     achieved: float | None
-    tolerance: float
     iterations: int
     infeasible: bool
     reason: str
@@ -142,23 +141,23 @@ def calibrate_penalty(
 
     if at_zero.value is None:
         return CalibrationResult(
-            target_alpha, 0.0, None, tolerance, 0, True,
+            target_alpha, 0.0, None, 0, True,
             "conditioning event empty at penalty zero", tuple(history),
         )
     if at_zero.se is not None and at_zero.se > tolerance / 2.0:
         return CalibrationResult(
-            target_alpha, 0.0, at_zero.value, tolerance, 0, True,
+            target_alpha, 0.0, at_zero.value, 0, True,
             "Monte Carlo error exceeds tolerance/2 even after growing the budget",
             tuple(history),
         )
     if at_zero.value < target_alpha - tolerance:
         return CalibrationResult(
-            target_alpha, 0.0, at_zero.value, tolerance, 0, True,
+            target_alpha, 0.0, at_zero.value, 0, True,
             "target exceeds the attainable maximum at penalty zero", tuple(history),
         )
     if abs(at_zero.value - target_alpha) <= tolerance:
         return CalibrationResult(
-            target_alpha, 0.0, at_zero.value, tolerance, 0, False, "converged", tuple(history)
+            target_alpha, 0.0, at_zero.value, 0, False, "converged", tuple(history)
         )
 
     lo, hi = 0.0, 1.0 - 1e-9
@@ -175,7 +174,7 @@ def calibrate_penalty(
                 best = (gap, mid, point)
             if gap <= tolerance:
                 return CalibrationResult(
-                    target_alpha, mid, point.value, tolerance, iterations, False,
+                    target_alpha, mid, point.value, iterations, False,
                     "converged", tuple(history),
                 )
         if effective >= target_alpha:
@@ -184,7 +183,7 @@ def calibrate_penalty(
             hi = mid
     gap, beta_hat, point = best
     return CalibrationResult(
-        target_alpha, beta_hat, point.value, tolerance, iterations, gap > tolerance,
+        target_alpha, beta_hat, point.value, iterations, gap > tolerance,
         "iteration cap reached", tuple(history),
     )
 

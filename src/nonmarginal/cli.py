@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import re
 import sys
@@ -56,12 +57,13 @@ from .model_ar1 import (
 
 
 def _load_config(args) -> ScenarioConfig:
+    """The config file's scenario (or the default) with the --seed and
+    --workers overrides, checked as any other config is."""
     cfg = ScenarioConfig.from_json(args.config) if args.config else ScenarioConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.master_seed = args.seed
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
-    return cfg
+    overrides = {"master_seed": getattr(args, "seed", None),
+                 "workers": getattr(args, "workers", None)}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def _add_common(parser):

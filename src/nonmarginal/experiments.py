@@ -96,6 +96,14 @@ REPLICATE_CSV_COLUMNS = (
 RATE_FIT_METRICS = ("mpbfdr", "mpbfnr", "pbfdr", "pbfnr")
 
 
+def _known_keys(cls, payload: dict, what: str) -> dict:
+    """``payload``, after checking that every key names a field of dataclass ``cls``."""
+    unknown = set(payload) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise InvalidSpec(f"unknown {what} keys: {sorted(unknown)}")
+    return payload
+
+
 @dataclass
 class ScenarioConfig:
     """Everything needed to reproduce one experiment end to end."""
@@ -134,7 +142,7 @@ class ScenarioConfig:
         self.n_grid = tuple(int(n) for n in self.n_grid)
         self.active_indices = tuple(int(i) for i in self.active_indices)
         if isinstance(self.prior, dict):
-            self.prior = PriorConfig(**self.prior)
+            self.prior = PriorConfig(**_known_keys(PriorConfig, self.prior, "prior"))
         if len(self.n_grid) == 0 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise InvalidSpec("n_grid must be non-empty and strictly increasing")
         if self.growth not in ("fixed_m", "sublinear", "ultra"):
@@ -201,11 +209,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
-        if unknown:
-            raise InvalidSpec(f"unknown config keys: {sorted(unknown)}")
-        return cls(**payload)
+        return cls(**_known_keys(cls, payload, "config"))
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
@@ -636,11 +640,12 @@ def write_calibration_trace(path, result: CalibrationResult) -> None:
 
 @dataclass
 class ScenarioResult:
+    """What ``run_scenario`` leaves in memory: the ensembles by n, the reports
+    by (n, rule) and the manifest.  The fits, exponent and calibrations are in
+    the files it writes."""
+
     ensembles: dict
     reports: dict
-    fits: dict
-    calibrations: dict
-    exponent_value: float
     manifest: RunManifest
 
 
@@ -704,7 +709,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
         write_rate_fits(fpath, fits)
         outputs.append(fpath.name)
 
-    calibrations: dict[int, CalibrationResult] = {}
     if cfg.target_alpha is not None:
         t0 = time.perf_counter()
         for n, ensemble in ensembles.items():
@@ -714,7 +718,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
                 tolerance=cfg.calibration_tolerance,
                 max_iterations=cfg.calibration_max_iterations,
             )
-            calibrations[n] = result
             tpath = out / f"calibration_n{n}.csv"
             write_calibration_trace(tpath, result)
             outputs.append(tpath.name)
@@ -761,14 +764,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
         sampling={"batches": len(batch_chains), "chains": batch_chains},
     )
     manifest.to_json(out / "manifest.json")
-    return ScenarioResult(
-        ensembles=ensembles,
-        reports=reports,
-        fits=fits,
-        calibrations=calibrations,
-        exponent_value=exponent.value,
-        manifest=manifest,
-    )
+    return ScenarioResult(ensembles=ensembles, reports=reports, manifest=manifest)
 
 
 def aggregate_replicate_csv(path) -> FrequentistErrorReport:

@@ -29,7 +29,7 @@ from .exceptions import InfeasibleDesign, InvalidSpec, NumericalFailure
 from .hypotheses import TestSpec
 
 _KERNEL_JITTER = 1e-8
-# sweeps of standard normals a Gibbs chain holds at once
+# sweeps of standard normals a Gibbs chain holds at once, and draws rotated to beta at once
 _NOISE_BLOCK = 512
 # log Φ(-3) and the log mass of N(0, 1) on [-3, 3], as scipy.stats.truncnorm has them
 _LOG_CDF_LOWER = special.log_ndtr(-3.0)
@@ -82,9 +82,10 @@ class Ar1Params:
 class CovariateDesign:
     """An n x (m+1) design whose first column is identically one.
 
-    ``centered`` records that every non-intercept column sums to zero, which the
-    generators below enforce so that long-run averages of ``z_t' beta`` vanish.
-    ``descriptor`` carries everything needed to regenerate the matrix exactly.
+    ``z`` is a read-only copy of the matrix given.  ``centered`` records that
+    every non-intercept column sums to zero, which the generators below enforce
+    so that long-run averages of ``z_t' beta`` vanish.  ``descriptor`` holds
+    the generator, scale, seed, n and m that regenerate the matrix exactly.
     """
 
     z: np.ndarray
@@ -127,19 +128,19 @@ class CovariateDesign:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A simulated response series together with its design and seed."""
+    """A simulated series: ``x`` holds x_1..x_n, ``design`` the covariates
+    that drove it, and ``seed`` the seed of its noise.  The series starts from
+    x_0 = 0.
+    """
 
     x: np.ndarray
     design: CovariateDesign
     seed: int | list | str
-    x0: float = 0.0
 
     def __post_init__(self):
         x = np.array(self.x, dtype=float)
         if x.ndim != 1 or not np.all(np.isfinite(x)):
             raise InvalidSpec("x must be a finite 1-d series")
-        if self.x0 != 0.0:
-            raise InvalidSpec("the series starts at x0 = 0 by convention")
         if x.size != self.design.n_obs:
             raise InvalidSpec("series length and design row count disagree")
         x.setflags(write=False)
@@ -150,8 +151,8 @@ class Dataset:
         return self.x.size
 
     def lagged(self) -> np.ndarray:
-        """The series shifted by one step, starting at x0 = 0."""
-        return np.concatenate(([self.x0], self.x[:-1]))
+        """The series shifted by one step, starting at x_0 = 0."""
+        return np.concatenate(([0.0], self.x[:-1]))
 
 
 @dataclass(frozen=True)
@@ -203,15 +204,14 @@ class PriorConfig:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorDraws:
-    """Retained posterior sample: rows are draws, columns (rho, sigma2, beta...).
+    """One chain's retained posterior sample.
 
-    A float array given as ``draws`` is kept, not copied, and made read-only.
+    ``draws`` holds one row per retained draw, with columns (rho, sigma2,
+    beta_0..beta_m).  A float array given as ``draws`` is kept, not copied,
+    and made read-only.
     """
 
     draws: np.ndarray
-    burn_in: int
-    thinning: int
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         draws = np.asarray(self.draws, dtype=float)
@@ -248,7 +248,8 @@ class PosteriorBatch:
     """The chains of one ``gibbs_sample`` call, in dataset order.
 
     ``chains[r]`` holds the draws of dataset r, or the ``NumericalFailure`` of
-    a chain that went non-finite.
+    a chain that went non-finite.  ``diagnostics["sweeps"]`` is the number of
+    sweeps every chain ran.
     """
 
     chains: tuple
@@ -293,8 +294,7 @@ def generate_design(
     same bits, and centers every non-intercept column.  The uniforms become
     the design's entries in one buffer, so the peak is a few copies of ``z``.
     ``orthogonalized`` additionally orthogonalizes the columns and rescales them
-    so (Z'Z)/n equals diag(1, scale^2, ..., scale^2); its largest eigenvalue is
-    recorded in the descriptor.
+    so (Z'Z)/n equals diag(1, scale^2, ..., scale^2).
     """
     if n < 2:
         raise InvalidSpec("need at least two observations")
@@ -331,8 +331,6 @@ def generate_design(
                 q, r = np.linalg.qr(np.column_stack([np.ones(n), raw]))
             q = q * np.sign(np.diag(r))  # fix the sign convention for determinism
             z[:, 1:] = q[:, 1:] * (math.sqrt(n) * scale)
-    if generator == "orthogonalized":
-        descriptor["max_gram_eigenvalue"] = float(max(1.0, scale**2))
     return CovariateDesign(z=z, centered=True, descriptor=descriptor)
 
 
@@ -419,7 +417,8 @@ def gibbs_sample(
     row, so a chain's draws are the same bits in any batch, and a chain that
     goes non-finite becomes a ``NumericalFailure`` in ``chains`` without
     touching the others.  ``chains[r].draws`` is chain r's slice of the
-    batch's one block of retained draws, rotated to beta in place.
+    batch's one block of retained draws, rotated to beta in place, in blocks
+    of ``_NOISE_BLOCK`` rows.
     """
     datasets, seeds = list(datasets), list(seeds)
     if not datasets or len(seeds) != len(datasets):
@@ -503,13 +502,14 @@ def gibbs_sample(
     del two_gammas, two_gamma, z_us, z_rhos, z_u, z_rho, noise
     out = []
     for r, draws in enumerate(kept):
-        draws[:, 2:] = draws[:, 2:] @ row_basis[r].T
+        for lo in range(0, num_draws, _NOISE_BLOCK):
+            u = draws[lo:lo + _NOISE_BLOCK, 2:]
+            u[...] = u @ row_basis[r].T
         if np.isfinite(draws).all():
-            out.append(PosteriorDraws(draws, burn_in=burn_in, thinning=thinning,
-                                      diagnostics={"sweeps": total}))
+            out.append(PosteriorDraws(draws))
         else:
             out.append(NumericalFailure("the chain went non-finite"))
-    return PosteriorBatch(tuple(out), diagnostics={"sweeps": total, "chains": chains})
+    return PosteriorBatch(tuple(out), diagnostics={"sweeps": total})
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +688,10 @@ def save_design(path, design: CovariateDesign) -> None:
 def save_dataset(path, data: Dataset) -> None:
     path = Path(path)
     np.savetxt(path, data.x, delimiter=",", header="x", comments="", fmt="%.17g")
-    _write_sidecar(path, {"seed": data.seed, "x0": data.x0, "design": data.design.descriptor})
+    _write_sidecar(path, {"seed": data.seed, "design": data.design.descriptor})
 
 
 def load_draws(path) -> PosteriorDraws:
     """Draws from a CSV of one header line, then one row (rho, sigma2, beta...) per draw."""
     arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return PosteriorDraws(arr, burn_in=0, thinning=1)
+    return PosteriorDraws(arr)

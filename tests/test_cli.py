@@ -61,6 +61,12 @@ def test_decide_runs_on_saved_draws(config_path, tmp_path, draws_path):
     assert len(bits) == 5 and set(bits) <= {"0", "1"}
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-5"), ("--workers", "-1")])
+def test_overrides_are_checked_as_config_fields(config_path, capsys, flag, value):
+    assert main(["j-estimate", "--config", config_path, "--n", "80", flag, value]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_decide_rejects_conflicting_flags(config_path, tmp_path):
     assert main(
         ["decide", "--config", config_path, "--draws", "missing.csv",

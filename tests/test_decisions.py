@@ -126,7 +126,7 @@ class TestIndicators:
     spec = TestSpec(num_covariates=1, null_radius=0.1)
 
     def _draws(self, rows):
-        return PosteriorDraws(np.array(rows, dtype=float), burn_in=0, thinning=1)
+        return PosteriorDraws(np.array(rows, dtype=float))
 
     def test_stationary_draw_is_not_flagged(self):
         draws = self._draws([[0.99, 1.0, 0.0, 0.0]])

@@ -96,7 +96,7 @@ class TestTruthFromParams:
         beta = data.draw(st.lists(values(spec.null_radius), min_size=spec.num_covariates + 1,
                                   max_size=spec.num_covariates + 1))
         truth = truth_from_params(Ar1Params(rho, 1.0, np.array(beta)), spec)
-        draws = PosteriorDraws(np.array([[rho, 1.0, *beta]]), burn_in=0, thinning=1)
+        draws = PosteriorDraws(np.array([[rho, 1.0, *beta]]))
         (row,) = alternative_indicators(draws, spec).ind
         expected = [abs(rho) >= spec.rho_null_bound] * spec.include_rho_test
         expected += [abs(b) > spec.null_radius for b in beta]

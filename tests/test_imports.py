@@ -1,7 +1,8 @@
 """The package loads numpy and scipy.special only, so a fresh process starts fast.
 
 Importing it looks up numpy's OpenBLAS thread count but leaves it as it was.
-Every name it exports has a caller inside the package.
+Every name it exports has a caller inside the package, and every field of its
+records has a reader there.
 """
 
 import ast
@@ -20,6 +21,8 @@ HEAVY = ("scipy.stats", "scipy.sparse", "scipy.linalg", "scipy.optimize")
 PACKAGE = Path(nonmarginal.__file__).parent
 # called only by the benchmark tracer under bench/, which wraps it by name
 BENCH_ONLY = {"build_replicate_posterior"}
+# record fields read only by the benchmark tracer under bench/: the sweep count
+BENCH_ONLY_FIELDS = {"PosteriorBatch.diagnostics"}
 
 PROBE = """
 import sys
@@ -90,3 +93,37 @@ def test_every_public_name_has_a_caller_in_the_package():
         used |= {node.id if isinstance(node, ast.Name) else node.attr
                  for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
     assert sorted(names - used - BENCH_ONLY) == []
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    """``node`` is a call of the plain name ``name`` with positional arguments."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name and bool(node.args))
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def test_every_record_field_has_a_reader_in_the_package():
+    """A dataclass field counts as read when a package module loads it as an
+    attribute, names it in a ``getattr`` with a constant name, or serializes
+    its record with ``asdict(self)``; any other field only tests reach."""
+    fields, read = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif _calls(node, "getattr") and isinstance(node.args[1], ast.Constant):
+                read.add(node.args[1].value)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                names = [stmt.target.id for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+                fields |= {f"{node.name}.{name}" for name in names}
+                if any(_calls(call, "asdict") and isinstance(call.args[0], ast.Name)
+                       and call.args[0].id == "self" for call in ast.walk(node)):
+                    read |= set(names)
+    unread = {f for f in fields if f.split(".")[1] not in read}
+    assert sorted(unread - BENCH_ONLY_FIELDS) == []

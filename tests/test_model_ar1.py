@@ -59,9 +59,8 @@ class TestGenerateDesign:
 
     def test_orthogonalized_gram_eigenvalue_matches_eigendecomposition(self):
         design = generate_design(100, 5, generator="orthogonalized", scale=1.3, seed=4)
-        reported = design.descriptor["max_gram_eigenvalue"]
-        direct = float(np.linalg.eigvalsh(design.gram()).max())
-        assert abs(reported - direct) < 1e-8
+        np.testing.assert_allclose(design.gram(), np.diag([1.0] + [1.3**2] * 5), atol=1e-12)
+        assert abs(float(np.linalg.eigvalsh(design.gram()).max()) - 1.3**2) < 1e-8
 
     def test_same_seed_bit_identical(self):
         a = generate_design(80, 4, seed=11)
@@ -200,7 +199,7 @@ class TestGibbs:
         for order in ([0, 1, 2, 3, 4], [4, 2, 0], [3, 1], [2, 4, 1, 0, 3]):
             batch = gibbs_sample([datasets[i] for i in order], PriorConfig(), num_draws=50,
                                  burn_in=7, thinning=2, seeds=order)
-            assert batch.diagnostics == {"sweeps": 107, "chains": len(order)}
+            assert batch.diagnostics == {"sweeps": 107}
             for i, chain in zip(order, batch.chains):
                 assert np.array_equal(chain.draws, alone[i]), (order, i)
 
@@ -299,8 +298,8 @@ class TestGibbs:
         design.ztz
         batch, peak = _traced_peak(gibbs_sample, datasets, PriorConfig(), num_draws=4000,
                                    seeds=[3, 4])
-        # retained draws, plus one chain's U V' product, the gammas and a noise block
-        assert peak <= 1.6 * sum(chain.draws.nbytes for chain in batch.chains)
+        # retained draws, plus the gammas, a noise block and one block's U V' product
+        assert peak <= 1.35 * sum(chain.draws.nbytes for chain in batch.chains)
         assert batch.chains[0].draws.base is batch.chains[1].draws.base
 
 
@@ -603,8 +602,7 @@ class TestPersistence:
                    comments="", fmt="%.17g")
         back = load_draws(path)
         np.testing.assert_array_equal(back.draws, draws.draws)
-        assert (back.burn_in, back.thinning) == (0, 1)
 
     def test_draws_validation(self):
         with pytest.raises(InvalidSpec):
-            PosteriorDraws(np.array([[0.1, -1.0, 0.0]]), burn_in=0, thinning=1)
+            PosteriorDraws(np.array([[0.1, -1.0, 0.0]]))
