@@ -2,10 +2,10 @@
 
 Each criterion returns a result record with a one-line summary; the pytest
 suite asserts them and the CLI ``check`` subcommand turns them into an exit
-code.  Heavy posterior ensembles are built once per sample size and shared
-across criteria through the context object — the sharing is what makes the
+code.  The criteria share one ``experiments.Scenario``, whose posterior
+ensembles are sampled once for the whole grid — the sharing is what makes the
 common-random-numbers assertions (monotone curves, calibration) exact rather
-than statistical.
+than statistical.  Criteria 2 and 3 judge the config's penalties.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calibration import calibrate_penalty, feasible_alpha, mpbfdr_curve
+from .calibration import feasible_alpha, mpbfdr_curve
 from .decisions import (
     PosteriorIndicators,
     joint_correct_probs,
@@ -27,7 +27,7 @@ from .decisions import (
 )
 from .error_rates import RateFit, posterior_rates, rate_fit
 from .exceptions import InvalidSpec
-from .experiments import DecisionEnsemble, ScenarioConfig, design_for, rate_fits, seed_for
+from .experiments import Scenario, ScenarioConfig, design_for, seed_for
 from .hypotheses import (
     DecisionConfig,
     GroupStructure,
@@ -37,15 +37,11 @@ from .hypotheses import (
 )
 from .model_ar1 import (
     Ar1Params,
-    estimate_error_exponent,
     kl_divergence_rate,
     log_likelihood_ratio,
     quadratic_limits,
     simulate,
 )
-
-NONMARGINAL_PENALTY = 0.5
-ADDITIVE_PENALTY = 0.5  # cost 1 <=> threshold 1/2
 
 
 @dataclass(frozen=True)
@@ -60,52 +56,12 @@ class CriterionResult:
         return f"criterion {self.number} ({self.name}): {status} - {self.details}"
 
 
-class AcceptanceContext:
-    """Caches the expensive shared state: one posterior ensemble per sample size.
-
-    ``ensembles`` seeds the cache with ensembles already built from ``cfg``,
-    such as those of a ``run_scenario`` result.
-    """
-
-    def __init__(self, cfg: ScenarioConfig | None = None, workers: int | None = None,
-                 ensembles: dict[int, DecisionEnsemble] | None = None):
-        self.cfg = cfg if cfg is not None else ScenarioConfig()
-        self.workers = workers
-        self._ensembles: dict[int, DecisionEnsemble] = dict(ensembles or {})
-        self._exponent = None
-        self._decay = None
-
-    def ensemble(self, n: int) -> DecisionEnsemble:
-        if n not in self._ensembles:
-            self._ensembles[n] = DecisionEnsemble(self.cfg, n, workers=self.workers)
-        return self._ensembles[n]
-
-    @property
-    def failures(self) -> list:
-        """Replicates that failed in every ensemble built so far."""
-        return [f for ensemble in self._ensembles.values() for f in ensemble.failures]
-
-    @property
-    def exponent(self):
-        if self._exponent is None:
-            n_max = self.cfg.n_grid[-1]
-            ensemble = self.ensemble(n_max)
-            self._exponent = estimate_error_exponent(
-                self.cfg.params_for(self.cfg.m_for(n_max)), ensemble.spec, ensemble.design
-            )
-        return self._exponent
-
-    def decay_fits(self) -> dict[str, RateFit]:
-        """``experiments.rate_fits`` of the nonmarginal rule at ``NONMARGINAL_PENALTY``,
-        by metric."""
-        if self._decay is None:
-            reports = {(n, "nonmarginal"): self.ensemble(n).frequentist(NONMARGINAL_PENALTY)
-                       for n in self.cfg.n_grid}
-            fits = rate_fits(reports, self.exponent.value)
-            if not fits:
-                raise InvalidSpec("the decay fits need at least three sample sizes")
-            self._decay = {metric: fit for (_, metric), fit in fits.items()}
-        return self._decay
+def _decay_fits(scenario: Scenario) -> dict[str, RateFit]:
+    """The scenario's rate fits of the nonmarginal rule, by metric."""
+    fits = {metric: fit for (rule, metric), fit in scenario.fits.items() if rule == "nonmarginal"}
+    if not fits:
+        raise InvalidSpec("the decay fits need at least three sample sizes")
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +139,11 @@ def criterion_1_oracle_equivalence(instances: int = 100, seed: int = 7) -> Crite
 # criterion 2: consistency across the sample-size grid
 # ---------------------------------------------------------------------------
 
-def criterion_2_consistency(ctx: AcceptanceContext) -> CriterionResult:
+def criterion_2_consistency(scenario: Scenario) -> CriterionResult:
     rows = {}
     ok = True
-    for rule, penalty in (("nonmarginal", NONMARGINAL_PENALTY), ("additive", ADDITIVE_PENALTY)):
-        fracs = []
-        for n in ctx.cfg.n_grid:
-            fracs.append(ctx.ensemble(n).consistency_fraction(penalty, rule))
+    for rule, penalty in scenario.penalties.items():
+        fracs = [e.consistency_fraction(penalty, rule) for e in scenario.ensembles.values()]
         for (p_lo, se_lo), (p_hi, se_hi) in zip(fracs, fracs[1:]):
             slack = 2.0 * math.hypot(se_lo, se_hi)
             if p_hi < p_lo - slack:
@@ -213,10 +167,10 @@ def _sci(value: float | None) -> str:
     return "None" if value is None else f"{value:.2e}"
 
 
-def criterion_3_error_decay(ctx: AcceptanceContext) -> CriterionResult:
-    decay = ctx.decay_fits()
+def criterion_3_error_decay(scenario: Scenario) -> CriterionResult:
+    decay = _decay_fits(scenario)
     mfdr_fit, mfnr_fit = decay["mpbfdr"], decay["mpbfnr"]
-    final = ctx.ensemble(ctx.cfg.n_grid[-1]).frequentist(NONMARGINAL_PENALTY)
+    final = scenario.reports[(scenario.cfg.n_grid[-1], "nonmarginal")]
     ok = True
     for fit in (mfdr_fit, mfnr_fit):
         if fit.degenerate or not fit.slope < 0 or not fit.r_squared >= 0.8:
@@ -238,8 +192,7 @@ def criterion_3_error_decay(ctx: AcceptanceContext) -> CriterionResult:
 # criterion 4: equipartition of the log likelihood ratio
 # ---------------------------------------------------------------------------
 
-def _equipartition_deviation(ctx: AcceptanceContext, theta: Ar1Params, n: int, reps: int) -> float:
-    cfg = ctx.cfg
+def _equipartition_deviation(cfg: ScenarioConfig, theta: Ar1Params, n: int, reps: int) -> float:
     design = design_for(cfg, n)
     theta0 = cfg.params_for(cfg.m_for(n))
     moments = quadratic_limits(theta.beta, theta0.beta, design)
@@ -251,8 +204,8 @@ def _equipartition_deviation(ctx: AcceptanceContext, theta: Ar1Params, n: int, r
     return float(np.mean(devs))
 
 
-def criterion_4_equipartition(ctx: AcceptanceContext, reps: int = 20) -> CriterionResult:
-    cfg = ctx.cfg
+def criterion_4_equipartition(scenario: Scenario, reps: int = 20) -> CriterionResult:
+    cfg = scenario.cfg
     theta0 = cfg.params_for(cfg.m_for(cfg.n_grid[0]))
     active = np.arange(theta0.beta.size) == cfg.active_indices[0]
     perturbed = [
@@ -263,8 +216,8 @@ def criterion_4_equipartition(ctx: AcceptanceContext, reps: int = 20) -> Criteri
     ok = True
     details = []
     for k, theta in enumerate(perturbed):
-        small = _equipartition_deviation(ctx, theta, 250, reps)
-        large = _equipartition_deviation(ctx, theta, 4000, reps)
+        small = _equipartition_deviation(cfg, theta, 250, reps)
+        large = _equipartition_deviation(cfg, theta, 4000, reps)
         if not (large < 0.05 and large < small):
             ok = False
         details.append(f"theta{k}: 250->{small:.4f}, 4000->{large:.4f}")
@@ -291,21 +244,21 @@ def _on_wrong_side(theta: Ar1Params, theta0: Ar1Params, spec: TestSpec, hypothes
     return bool(value <= bound if alternative_true else value >= bound)
 
 
-def criterion_5_exponent_sanity(ctx: AcceptanceContext) -> CriterionResult:
-    cfg = ctx.cfg
+def criterion_5_exponent_sanity(scenario: Scenario) -> CriterionResult:
+    cfg = scenario.cfg
     n_max = cfg.n_grid[-1]
-    ensemble = ctx.ensemble(n_max)
+    ensemble = scenario.ensembles[n_max]
     theta0 = cfg.params_for(cfg.m_for(n_max))
     moments = quadratic_limits(theta0.beta, theta0.beta, ensemble.design)
     h_at_truth = kl_divergence_rate(theta0, theta0, moments)
-    exponent = ctx.exponent
+    exponent = scenario.exponent
     argmin = exponent.argmin
     h_at_argmin = kl_divergence_rate(
         argmin, theta0, quadratic_limits(argmin.beta, theta0.beta, ensemble.design)
     )
     attained = abs(h_at_argmin - exponent.value) <= 1e-12
     wrong = _on_wrong_side(argmin, theta0, ensemble.spec, exponent.argmin_hypothesis)
-    decay = ctx.decay_fits()
+    decay = _decay_fits(scenario)
     slope = decay["mpbfdr"].slope
     ok = (
         h_at_truth == 0.0
@@ -328,24 +281,19 @@ def criterion_5_exponent_sanity(ctx: AcceptanceContext) -> CriterionResult:
 # criterion 6: alpha control via penalty calibration
 # ---------------------------------------------------------------------------
 
-def criterion_6_alpha_control(ctx: AcceptanceContext, target: float = 0.1) -> CriterionResult:
-    cfg = ctx.cfg
+def criterion_6_alpha_control(scenario: Scenario, target: float = 0.1) -> CriterionResult:
+    cfg = scenario.cfg
     ok = True
     betas = []
     details = []
-    proportions = ctx.ensemble(cfg.n_grid[0]).proportions
+    proportions = scenario.ensembles[cfg.n_grid[0]].proportions
     lo, hi = feasible_alpha(proportions.alt_share, proportions.signal_group_share)
     if not lo < target < hi:
         return CriterionResult(
             6, "alpha control", False, f"target {target} outside feasible interval (0, {hi:.3f})"
         )
     for n in cfg.n_grid:
-        result = calibrate_penalty(
-            target,
-            ctx.ensemble(n),
-            tolerance=cfg.calibration_tolerance,
-            max_iterations=cfg.calibration_max_iterations,
-        )
+        result = scenario.calibrate(n, target)
         achieved = math.nan if result.achieved is None else result.achieved
         if result.infeasible or abs(achieved - target) > cfg.calibration_tolerance:
             ok = False
@@ -361,10 +309,9 @@ def criterion_6_alpha_control(ctx: AcceptanceContext, target: float = 0.1) -> Cr
 # criterion 7: reject-everything limit of the marginal rule
 # ---------------------------------------------------------------------------
 
-def criterion_7_reject_all_limit(ctx: AcceptanceContext) -> CriterionResult:
-    cfg = ctx.cfg
-    n = cfg.n_grid[-1]
-    ensemble = ctx.ensemble(n)
+def criterion_7_reject_all_limit(scenario: Scenario) -> CriterionResult:
+    n = scenario.cfg.n_grid[-1]
+    ensemble = scenario.ensembles[n]
     report = ensemble.frequentist(0.0, rule="all_reject")
     target = ensemble.proportions.null_share
     value = report.pbfdr if report.pbfdr is not None else math.nan
@@ -381,11 +328,10 @@ def criterion_7_reject_all_limit(ctx: AcceptanceContext) -> CriterionResult:
 # criterion 8: monotone rate curve under common random numbers
 # ---------------------------------------------------------------------------
 
-def criterion_8_monotone_curve(ctx: AcceptanceContext, n: int | None = None) -> CriterionResult:
-    cfg = ctx.cfg
-    n = n if n is not None else cfg.n_grid[-2]
+def criterion_8_monotone_curve(scenario: Scenario) -> CriterionResult:
+    n = scenario.cfg.n_grid[-2:][0]  # the second largest size, or the only one
     grid = [k / 10 for k in range(10)]
-    curve = mpbfdr_curve(ctx.ensemble(n), grid)
+    curve = mpbfdr_curve(scenario.ensembles[n], grid)
     values = [p.value for p in curve]
     if any(v is None for v in values):
         return CriterionResult(
@@ -473,7 +419,7 @@ def criterion_9_exact_suite() -> CriterionResult:
 
 
 CRITERIA = {
-    1: lambda ctx: criterion_1_oracle_equivalence(),
+    1: lambda scenario: criterion_1_oracle_equivalence(),
     2: criterion_2_consistency,
     3: criterion_3_error_decay,
     4: criterion_4_equipartition,
@@ -481,11 +427,10 @@ CRITERIA = {
     6: criterion_6_alpha_control,
     7: criterion_7_reject_all_limit,
     8: criterion_8_monotone_curve,
-    9: lambda ctx: criterion_9_exact_suite(),
+    9: lambda scenario: criterion_9_exact_suite(),
 }
 
 
-def run_all(ctx: AcceptanceContext | None = None, numbers=None) -> list[CriterionResult]:
-    ctx = ctx or AcceptanceContext()
+def run_all(scenario: Scenario, numbers=None) -> list[CriterionResult]:
     wanted = sorted(CRITERIA) if numbers is None else sorted(numbers)
-    return [CRITERIA[number](ctx) for number in wanted]
+    return [CRITERIA[number](scenario) for number in wanted]

@@ -17,8 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .acceptance import AcceptanceContext, run_all
-from .calibration import calibrate_penalty
+from .acceptance import CRITERIA, run_all
 from .decisions import (
     alternative_indicators,
     optimize_decisions,
@@ -26,7 +25,7 @@ from .decisions import (
 )
 from .exceptions import InvalidSpec
 from .experiments import (
-    DecisionEnsemble,
+    Scenario,
     ScenarioConfig,
     aggregate_replicate_csv,
     design_for,
@@ -37,7 +36,6 @@ from .experiments import (
     seed_for,
     write_calibration_trace,
     write_rate_fits,
-    _report_payload,
 )
 from .hypotheses import (
     GroupStructure,
@@ -64,6 +62,16 @@ def _load_config(args) -> ScenarioConfig:
                  "workers": getattr(args, "workers", None)}
     overrides = {key: value for key, value in overrides.items() if value is not None}
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
+
+
+def _criteria(text: str) -> set[int]:
+    """The criterion numbers of a comma list such as ``1,9``."""
+    tokens = text.split(",")
+    unknown = [t for t in tokens if not (t.strip().isdigit() and int(t) in CRITERIA)]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown criteria {unknown}; the criteria are {', '.join(map(str, CRITERIA))}")
+    return {int(t) for t in tokens}
 
 
 def _add_common(parser):
@@ -137,19 +145,19 @@ def _cmd_decide(args) -> int:
 
 def _cmd_replicate(args) -> int:
     cfg = _load_config(args)
-    result = run_scenario(cfg, args.out, workers=args.workers)
-    print(f"scenario {result.manifest.scenario_hash} finished; artifacts in {args.out}")
-    for key in sorted(result.reports):
+    scenario = run_scenario(cfg, args.out, workers=args.workers)
+    print(f"scenario {scenario.manifest.scenario_hash} finished; artifacts in {args.out}")
+    for key in sorted(scenario.reports):
         n, rule = key
-        report = result.reports[key]
+        report = scenario.reports[key]
         print(
             f"  n={n} {rule}: mpbfdr={report.mpbfdr!r} mpbfnr={report.mpbfnr!r} "
             f"(conditioning {report.n_conditioning_fdr}/{report.n_conditioning_fnr})"
         )
-    for failure in result.manifest.failures:
+    for failure in scenario.manifest.failures:
         print(f"failed: {failure}", file=sys.stderr)
-    code = _cmd_check(args, result.ensembles) if args.check else 0
-    return 1 if result.manifest.failures else code
+    code = _cmd_check(args, scenario) if args.check else 0
+    return 1 if scenario.manifest.failures else code
 
 
 def _cmd_calibrate(args) -> int:
@@ -159,14 +167,9 @@ def _cmd_calibrate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary = {}
     failed = False
+    scenario = Scenario(cfg, workers=args.workers)
     for n in cfg.n_grid:
-        ensemble = DecisionEnsemble(cfg, n, workers=args.workers)
-        result = calibrate_penalty(
-            target,
-            ensemble,
-            tolerance=cfg.calibration_tolerance,
-            max_iterations=cfg.calibration_max_iterations,
-        )
+        result = scenario.calibrate(n, target)
         write_calibration_trace(out / f"calibration_n{n}.csv", result)
         summary[str(n)] = {
             "beta_hat": result.beta_hat,
@@ -205,7 +208,7 @@ def _cmd_rates(args) -> int:
         report = aggregate_replicate_csv(path)
         reports[(n, rule)] = report
         (out / f"report_{rule}_n{n}.json").write_text(
-            json.dumps(_report_payload(report), indent=2, sort_keys=True)
+            json.dumps(report.payload(), indent=2, sort_keys=True)
         )
         print(f"n={n} {rule}: mpbfdr={report.mpbfdr!r} mpbfnr={report.mpbfnr!r}")
     fits = rate_fits(reports, exponent)
@@ -229,22 +232,18 @@ def _cmd_j_estimate(args) -> int:
     return 0
 
 
-def _cmd_check(args, ensembles=None) -> int:
-    """Run the acceptance criteria.  ``ensembles`` come from a ``replicate``
-    run, which has already printed their failures."""
-    cfg = _load_config(args)
-    wanted = None
-    if getattr(args, "criteria", None):
-        wanted = {int(tok) for tok in args.criteria.split(",")}
-    ctx = AcceptanceContext(cfg, workers=args.workers, ensembles=ensembles)
-    results = run_all(ctx, numbers=wanted)
+def _cmd_check(args, scenario: Scenario | None = None) -> int:
+    """Run the acceptance criteria, on the ``scenario`` of a ``replicate`` run
+    when given: that run has already printed its failures."""
+    reported = [] if scenario is None else scenario.failures
+    scenario = scenario or Scenario(_load_config(args), workers=args.workers)
+    results = run_all(scenario, numbers=args.criteria)
     for result in results:
         print(result.line())
-    reported = [f for ensemble in (ensembles or {}).values() for f in ensemble.failures]
-    for failure in ctx.failures:
+    for failure in scenario.failures:
         if failure not in reported:
             print(f"failed: {failure}", file=sys.stderr)
-    return 0 if all(r.passed for r in results) and not ctx.failures else 1
+    return 0 if all(r.passed for r in results) and not scenario.failures else 1
 
 
 def main(argv=None) -> int:
@@ -273,7 +272,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("replicate", help="run the full scenario grid")
     _add_common(p)
     p.add_argument("--check", action="store_true", help="run acceptance checks afterwards")
-    p.add_argument("--criteria", type=str, default=None, help="comma list for --check")
+    p.add_argument("--criteria", type=_criteria, default=None, help="comma list for --check")
     p.set_defaults(fn=_cmd_replicate)
 
     p = sub.add_parser("calibrate", help="bisect the penalty to a target level")
@@ -292,7 +291,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("check", help="run acceptance criteria (exit 1 on failure)")
     _add_common(p)
-    p.add_argument("--criteria", type=str, default=None, help="comma-separated criterion numbers")
+    p.add_argument("--criteria", type=_criteria, default=None, help="comma-separated criterion numbers")
     p.set_defaults(fn=_cmd_check)
 
     args = parser.parse_args(argv)

@@ -11,7 +11,7 @@ undefined (None), never imputed as zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +20,18 @@ from .exceptions import InvalidSpec
 from .hypotheses import DecisionConfig, TruthAssignment
 
 RATE_FIELDS = ("pfdr", "pfnr", "pbfdr", "pbfnr", "mpbfdr", "mpbfnr")
+
+
+def _json_ready(value):
+    """``value`` with every non-finite float written as its repr string, so
+    that the files a record is written to stay valid JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))  # a numpy float's repr names its type
+    if isinstance(value, dict):
+        return {key: _json_ready(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -57,6 +69,10 @@ class FrequentistErrorReport:
     n_conditioning_fdr: int
     n_conditioning_fnr: int
 
+    def payload(self) -> dict:
+        """Every field, as JSON data."""
+        return _json_ready(asdict(self))
+
 
 @dataclass(frozen=True)
 class RateFit:
@@ -81,6 +97,10 @@ class RateFit:
     bound_slack: float
     degenerate: bool
     n_used: int
+
+    def payload(self) -> dict:
+        """Every field, as JSON data."""
+        return _json_ready(asdict(self))
 
 
 def posterior_rates(

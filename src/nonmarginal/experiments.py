@@ -14,11 +14,13 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ from .decisions import (
     optimize_decisions,
 )
 from .error_rates import (
+    RATE_FIELDS,
     FrequentistErrorReport,
     PosteriorErrorReport,
     RateFit,
@@ -104,6 +107,22 @@ def _known_keys(cls, payload: dict, what: str) -> dict:
     return payload
 
 
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool,
+          "PriorConfig": PriorConfig, "None": type(None)}
+
+
+def _admits(annotation: str, value) -> bool:
+    """Whether ``value`` fits a ``ScenarioConfig`` annotation such as ``float | None``.
+
+    A bool is no number, and a ``tuple`` field is a list of integers.
+    """
+    if annotation == "tuple":
+        return isinstance(value, (list, tuple)) and all(_admits("int", v) for v in value)
+    if isinstance(value, bool):
+        return annotation == "bool"
+    return any(isinstance(value, _KINDS[kind]) for kind in annotation.split(" | "))
+
+
 @dataclass
 class ScenarioConfig:
     """Everything needed to reproduce one experiment end to end."""
@@ -139,10 +158,15 @@ class ScenarioConfig:
     workers: int = 0  # 0 = all usable cores
 
     def __post_init__(self):
-        self.n_grid = tuple(int(n) for n in self.n_grid)
-        self.active_indices = tuple(int(i) for i in self.active_indices)
         if isinstance(self.prior, dict):
             self.prior = PriorConfig(**_known_keys(PriorConfig, self.prior, "prior"))
+        for f in fields(self):
+            if not _admits(f.type, getattr(self, f.name)):
+                expected = {"tuple": "a list of integers",
+                            "PriorConfig": "a mapping of prior settings"}.get(f.type, f.type)
+                raise InvalidSpec(f"{f.name} must be {expected}, not {getattr(self, f.name)!r}")
+        self.n_grid = tuple(int(n) for n in self.n_grid)
+        self.active_indices = tuple(int(i) for i in self.active_indices)
         if len(self.n_grid) == 0 or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise InvalidSpec("n_grid must be non-empty and strictly increasing")
         if self.growth not in ("fixed_m", "sublinear", "ultra"):
@@ -430,17 +454,14 @@ class DecisionEnsemble:
         self._requested = 0
         self._decision_cache: dict[tuple, list[MethodOutcome]] = {}
         self._report_cache: dict[tuple, FrequentistErrorReport] = {}
-        self.extend_to(replicates if replicates is not None else cfg.replicates)
+        extend_ensembles([self], cfg.replicates if replicates is None else replicates, self.workers)
 
     @property
     def replicate_count(self) -> int:
         return len(self.replicates)
 
-    def extend_to(self, count: int) -> None:
-        extend_ensembles([self], count, self.workers)
-
     def grow(self) -> None:
-        self.extend_to(2 * self._requested)
+        extend_ensembles([self], 2 * self._requested, self.workers)
 
     def _decide_one(self, rep: ReplicatePosterior, rule: str, penalty: float) -> MethodOutcome:
         if rule == "nonmarginal":
@@ -517,42 +538,6 @@ class RunManifest:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True))
 
 
-def _report_payload(report: FrequentistErrorReport) -> dict:
-    return {
-        "pfdr": report.pfdr,
-        "pfnr": report.pfnr,
-        "pbfdr": report.pbfdr,
-        "pbfnr": report.pbfnr,
-        "mpbfdr": report.mpbfdr,
-        "mpbfnr": report.mpbfnr,
-        "standard_errors": report.standard_errors,
-        "n_replicates": report.n_replicates,
-        "n_conditioning_fdr": report.n_conditioning_fdr,
-        "n_conditioning_fnr": report.n_conditioning_fnr,
-    }
-
-
-def _fit_payload(fit: RateFit) -> dict:
-    def clean(x):
-        if isinstance(x, float) and not math.isfinite(x):
-            return repr(x)
-        return x
-
-    return {
-        "metric": fit.metric,
-        "ns": list(fit.ns),
-        "values": [clean(v) for v in fit.values],
-        "normalized_log": [clean(v) for v in fit.normalized_log],
-        "slope": clean(fit.slope),
-        "intercept": clean(fit.intercept),
-        "r_squared": clean(fit.r_squared),
-        "exponent_reference": fit.exponent_reference,
-        "bound_slack": clean(fit.bound_slack),
-        "degenerate": fit.degenerate,
-        "n_used": fit.n_used,
-    }
-
-
 def exponent_payload(exponent: ErrorExponent, n: int) -> dict:
     """The ``exponent.json`` record of an error exponent computed at sample size n."""
     return {
@@ -587,7 +572,7 @@ def rate_fits(reports: dict, exponent: float) -> dict[tuple[str, str], RateFit]:
 def write_rate_fits(path, fits: dict[tuple[str, str], RateFit]) -> None:
     Path(path).write_text(
         json.dumps(
-            {f"{rule}.{metric}": _fit_payload(fit) for (rule, metric), fit in fits.items()},
+            {f"{rule}.{metric}": fit.payload() for (rule, metric), fit in fits.items()},
             indent=2,
             sort_keys=True,
         )
@@ -638,18 +623,67 @@ def write_calibration_trace(path, result: CalibrationResult) -> None:
             )
 
 
-@dataclass
-class ScenarioResult:
-    """What ``run_scenario`` leaves in memory: the ensembles by n, the reports
-    by (n, rule) and the manifest.  The fits, exponent and calibrations are in
-    the files it writes."""
+class Scenario:
+    """The sample-size grid of one config and every quantity derived from it.
 
-    ensembles: dict
-    reports: dict
-    manifest: RunManifest
+    Each quantity is computed at its first read and kept: ``ensembles`` in one
+    ``extend_ensembles`` dispatch, ``reports`` under each rule at its
+    ``penalties`` entry, ``exponent`` on ``n_max``'s design, and ``fits`` of
+    the reports against it.  A budget that ``calibrate`` grows stays with its
+    ensemble; the reports keep the replicates they were computed on.
+    ``run_scenario`` writes all of it and sets ``manifest``.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, workers: int | None = None):
+        self.cfg = cfg
+        self.workers = _resolve_workers(cfg.workers, workers)
+        self.penalties = {
+            "nonmarginal": cfg.penalty,
+            "additive": cfg.additive_cost / (1.0 + cfg.additive_cost),
+        }
+        self.batch_chains: list[int] = []  # chains per gibbs_sample batch of the dispatch
+        self.manifest: RunManifest | None = None
+        self._ensembles: dict[int, DecisionEnsemble] | None = None
+
+    @property
+    def ensembles(self) -> dict[int, DecisionEnsemble]:
+        if self._ensembles is None:
+            ensembles = {n: DecisionEnsemble(self.cfg, n, replicates=0, workers=self.workers)
+                         for n in self.cfg.n_grid}
+            self.batch_chains = extend_ensembles(list(ensembles.values()), self.cfg.replicates,
+                                                 self.workers)
+            self._ensembles = ensembles
+        return self._ensembles
+
+    @property
+    def failures(self) -> list[ReplicateFailure]:
+        """The replicates that failed so far; reading them samples nothing."""
+        return [f for ensemble in (self._ensembles or {}).values() for f in ensemble.failures]
+
+    @cached_property
+    def reports(self) -> dict[tuple[int, str], FrequentistErrorReport]:
+        return {(n, rule): ensemble.frequentist(penalty, rule)
+                for n, ensemble in self.ensembles.items()
+                for rule, penalty in self.penalties.items()}
+
+    @cached_property
+    def exponent(self) -> ErrorExponent:
+        ensemble = self.ensembles[self.cfg.n_grid[-1]]
+        return estimate_error_exponent(self.cfg.params_for(ensemble.spec.num_covariates),
+                                       ensemble.spec, ensemble.design)
+
+    @cached_property
+    def fits(self) -> dict[tuple[str, str], RateFit]:
+        return rate_fits(self.reports, self.exponent.value)
+
+    def calibrate(self, n: int, target: float) -> CalibrationResult:
+        """The penalty at which the ensemble at ``n`` reaches ``target``, under
+        the config's tolerance and iteration cap."""
+        return calibrate_penalty(target, self.ensembles[n], tolerance=self.cfg.calibration_tolerance,
+                                 max_iterations=self.cfg.calibration_max_iterations)
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> ScenarioResult:
+def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Scenario:
     """Run the full grid and persist plot-ready artifacts.
 
     Per sample size: replicate CSVs and aggregate JSON reports for both
@@ -659,65 +693,40 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg.to_json(out / "config.json")
+    scenario = Scenario(cfg, workers)
     wallclock: dict[str, float] = {}
     outputs: list[str] = []
-    failures: list[str] = []
-    rules = ("nonmarginal", "additive")
-    penalties = {
-        "nonmarginal": cfg.penalty,
-        "additive": cfg.additive_cost / (1.0 + cfg.additive_cost),
-    }
 
-    ensembles: dict[int, DecisionEnsemble] = {}
-    reports: dict[tuple, FrequentistErrorReport] = {}
     t0 = time.perf_counter()
-    workers = _resolve_workers(cfg.workers, workers)
-    for n in cfg.n_grid:
-        ensembles[n] = DecisionEnsemble(cfg, n, replicates=0, workers=workers)
-    batch_chains = extend_ensembles(list(ensembles.values()), cfg.replicates, workers)
-    for ensemble in ensembles.values():
-        failures.extend(str(failure) for failure in ensemble.failures)
+    ensembles = scenario.ensembles
+    failures = [str(failure) for failure in scenario.failures]
     wallclock["posterior_sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    for n, ensemble in ensembles.items():
-        for rule in rules:
-            outcomes = ensemble.decide(penalties[rule], rule)
-            path = out / f"replicates_{rule}_n{n}.csv"
-            write_replicate_csv(path, ensemble, outcomes, penalties[rule])
-            outputs.append(path.name)
-            report = ensemble.frequentist(penalties[rule], rule)
-            reports[(n, rule)] = report
-            rpath = out / f"report_{rule}_n{n}.json"
-            rpath.write_text(json.dumps(_report_payload(report), indent=2, sort_keys=True))
-            outputs.append(rpath.name)
+    for (n, rule), report in scenario.reports.items():
+        penalty = scenario.penalties[rule]
+        path = out / f"replicates_{rule}_n{n}.csv"
+        write_replicate_csv(path, ensembles[n], ensembles[n].decide(penalty, rule), penalty)
+        rpath = out / f"report_{rule}_n{n}.json"
+        rpath.write_text(json.dumps(report.payload(), indent=2, sort_keys=True))
+        outputs += [path.name, rpath.name]
     wallclock["decisions_and_rates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    n_max = cfg.n_grid[-1]
-    exponent = estimate_error_exponent(
-        cfg.params_for(cfg.m_for(n_max)), ensembles[n_max].spec, ensembles[n_max].design
-    )
     epath = out / "exponent.json"
-    epath.write_text(json.dumps(exponent_payload(exponent, n_max), indent=2))
+    epath.write_text(json.dumps(exponent_payload(scenario.exponent, cfg.n_grid[-1]), indent=2))
     outputs.append(epath.name)
     wallclock["error_exponent"] = time.perf_counter() - t0
 
-    fits = rate_fits(reports, exponent.value)
-    if fits:
+    if scenario.fits:
         fpath = out / "rate_fits.json"
-        write_rate_fits(fpath, fits)
+        write_rate_fits(fpath, scenario.fits)
         outputs.append(fpath.name)
 
     if cfg.target_alpha is not None:
         t0 = time.perf_counter()
-        for n, ensemble in ensembles.items():
-            result = calibrate_penalty(
-                cfg.target_alpha,
-                ensemble,
-                tolerance=cfg.calibration_tolerance,
-                max_iterations=cfg.calibration_max_iterations,
-            )
+        for n in cfg.n_grid:
+            result = scenario.calibrate(n, cfg.target_alpha)
             tpath = out / f"calibration_n{n}.csv"
             write_calibration_trace(tpath, result)
             outputs.append(tpath.name)
@@ -730,25 +739,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
     with open(ppath, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "m_n", "method", "metric", "value", "se"])
-        for n in cfg.n_grid:
-            for rule in rules:
-                report = reports[(n, rule)]
-                for metric in ("pfdr", "pfnr", "pbfdr", "pbfnr", "mpbfdr", "mpbfnr"):
-                    value = getattr(report, metric)
-                    se = report.standard_errors[metric]
-                    writer.writerow(
-                        [
-                            n,
-                            cfg.m_for(n),
-                            rule,
-                            metric,
-                            "" if value is None else f"{value:.12g}",
-                            "" if se is None else f"{se:.12g}",
-                        ]
-                    )
+        for (n, rule), report in scenario.reports.items():
+            for metric in RATE_FIELDS:
+                value, se = getattr(report, metric), report.standard_errors[metric]
+                writer.writerow([n, cfg.m_for(n), rule, metric,
+                                 *("" if x is None else f"{x:.12g}" for x in (value, se))])
     outputs.append(ppath.name)
 
-    manifest = RunManifest(
+    scenario.manifest = RunManifest(
         scenario_hash=cfg.scenario_hash(),
         master_seed=cfg.master_seed,
         n_grid=list(cfg.n_grid),
@@ -761,10 +759,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
         outputs=sorted(outputs),
         wallclock=wallclock,
         failures=failures,
-        sampling={"batches": len(batch_chains), "chains": batch_chains},
+        sampling={"batches": len(scenario.batch_chains), "chains": scenario.batch_chains},
     )
-    manifest.to_json(out / "manifest.json")
-    return ScenarioResult(ensembles=ensembles, reports=reports, manifest=manifest)
+    scenario.manifest.to_json(out / "manifest.json")
+    return scenario
 
 
 def aggregate_replicate_csv(path) -> FrequentistErrorReport:

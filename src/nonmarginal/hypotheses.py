@@ -329,11 +329,16 @@ def write_group_file(path, structure: GroupStructure) -> None:
 def read_group_file(path, num_hypotheses: int | None = None) -> GroupStructure:
     groups = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            groups.append(frozenset(int(tok) for tok in line.split()))
+            try:
+                groups.append(frozenset(int(tok) for tok in line.split()))
+            except ValueError:
+                raise InvalidSpec(
+                    f"group file {path}, line {number}: members must be integers, got {line!r}"
+                ) from None
     if num_hypotheses is not None and len(groups) != num_hypotheses:
         raise InvalidSpec(
             f"group file has {len(groups)} lines, expected {num_hypotheses}"

@@ -2,9 +2,10 @@
 
 The default scenario (10 covariates + intercept + autoregression test, three
 active coefficients of magnitude 1.5, 200 replicates, 4000 retained draws,
-n in {250, 500, 1000, 2000}) is expensive: posterior ensembles are built once
-per sample size and shared across criteria through a session fixture.  Run
-with ``pytest tests/test_acceptance.py -v -s`` to see one line per criterion.
+n in {250, 500, 1000, 2000}) is expensive: its ``Scenario`` samples the
+grid's posterior ensembles once and is shared across criteria through a
+session fixture.  Run with ``pytest tests/test_acceptance.py -v -s`` to see one
+line per criterion.
 """
 
 import math
@@ -12,9 +13,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from nonmarginal import FrequentistErrorReport, rate_fit
+from nonmarginal import FrequentistErrorReport, ScenarioConfig, rate_fit
 from nonmarginal.acceptance import (
-    AcceptanceContext,
     criterion_1_oracle_equivalence,
     criterion_2_consistency,
     criterion_3_error_decay,
@@ -24,13 +24,13 @@ from nonmarginal.acceptance import (
     criterion_7_reject_all_limit,
     criterion_8_monotone_curve,
     criterion_9_exact_suite,
-    NONMARGINAL_PENALTY,
 )
+from nonmarginal.experiments import Scenario
 
 
 @pytest.fixture(scope="session")
-def ctx():
-    return AcceptanceContext()
+def scenario():
+    return Scenario(ScenarioConfig())
 
 
 def _finish(result):
@@ -42,12 +42,12 @@ def test_criterion_1_oracle_equivalence():
     _finish(criterion_1_oracle_equivalence())
 
 
-def test_criterion_2_consistency(ctx):
-    _finish(criterion_2_consistency(ctx))
+def test_criterion_2_consistency(scenario):
+    _finish(criterion_2_consistency(scenario))
 
 
-def test_criterion_3_error_decay(ctx):
-    _finish(criterion_3_error_decay(ctx))
+def test_criterion_3_error_decay(scenario):
+    _finish(criterion_3_error_decay(scenario))
 
 
 def test_criterion_3_fails_on_an_undefined_final_rate():
@@ -59,41 +59,41 @@ def test_criterion_3_fails_on_an_undefined_final_rate():
     )
     stub = SimpleNamespace(
         cfg=SimpleNamespace(n_grid=ns),
-        decay_fits=lambda: {"mpbfdr": fit, "mpbfnr": fit},
-        ensemble=lambda n: SimpleNamespace(frequentist=lambda penalty: final),
+        fits={("nonmarginal", "mpbfdr"): fit, ("nonmarginal", "mpbfnr"): fit},
+        reports={(ns[-1], "nonmarginal"): final},
     )
     result = criterion_3_error_decay(stub)
     assert not result.passed
     assert "mpbfdr=None" in result.details
 
 
-def test_criterion_4_equipartition(ctx):
-    _finish(criterion_4_equipartition(ctx))
+def test_criterion_4_equipartition(scenario):
+    _finish(criterion_4_equipartition(scenario))
 
 
-def test_criterion_5_exponent_sanity(ctx):
-    _finish(criterion_5_exponent_sanity(ctx))
+def test_criterion_5_exponent_sanity(scenario):
+    _finish(criterion_5_exponent_sanity(scenario))
 
 
-def test_criterion_6_alpha_control(ctx):
-    _finish(criterion_6_alpha_control(ctx))
+def test_criterion_6_alpha_control(scenario):
+    _finish(criterion_6_alpha_control(scenario))
 
 
-def test_criterion_7_reject_all_limit(ctx):
-    _finish(criterion_7_reject_all_limit(ctx))
+def test_criterion_7_reject_all_limit(scenario):
+    _finish(criterion_7_reject_all_limit(scenario))
 
 
-def test_criterion_8_monotone_curve(ctx):
-    _finish(criterion_8_monotone_curve(ctx))
+def test_criterion_8_monotone_curve(scenario):
+    _finish(criterion_8_monotone_curve(scenario))
 
 
 def test_criterion_9_exact_suite():
     _finish(criterion_9_exact_suite())
 
 
-def test_modified_rates_also_decay_monotonically(ctx):
+def test_modified_rates_also_decay_monotonically(scenario):
     """Conditional means of the modified rates fall with n (within 2 MC errors)."""
-    reports = [ctx.ensemble(n).frequentist(NONMARGINAL_PENALTY) for n in ctx.cfg.n_grid]
+    reports = [scenario.reports[(n, "nonmarginal")] for n in scenario.cfg.n_grid]
     for field in ("mpbfdr", "mpbfnr"):
         values = [getattr(r, field) for r in reports]
         errors = [r.standard_errors[field] or 0.0 for r in reports]
@@ -102,20 +102,14 @@ def test_modified_rates_also_decay_monotonically(ctx):
             assert v2 <= v1 + 2.0 * math.hypot(e1, e2), field
 
 
-def test_fnr_declines_under_calibrated_penalties(ctx):
+def test_fnr_declines_under_calibrated_penalties(scenario):
     """With the penalty calibrated to 0.1 at each n, the averaged posterior FNR
     trends to zero and its log-decay slope against n is negative."""
-    from nonmarginal import calibrate_penalty
-
     reports = []
-    for n in ctx.cfg.n_grid:
-        result = calibrate_penalty(
-            0.1, ctx.ensemble(n),
-            tolerance=ctx.cfg.calibration_tolerance,
-            max_iterations=ctx.cfg.calibration_max_iterations,
-        )
-        reports.append(ctx.ensemble(n).frequentist(result.beta_hat))
-    fit = rate_fit("pbfnr", [r.pbfnr for r in reports], ctx.cfg.n_grid, ctx.exponent.value)
+    for n, ensemble in scenario.ensembles.items():
+        reports.append(ensemble.frequentist(scenario.calibrate(n, 0.1).beta_hat))
+    fit = rate_fit("pbfnr", [r.pbfnr for r in reports], scenario.cfg.n_grid,
+                   scenario.exponent.value)
     first, last = reports[0].pbfnr, reports[-1].pbfnr
     assert last is not None and first is not None and last < first
     assert fit.degenerate or fit.slope < 0.0

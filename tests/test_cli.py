@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from nonmarginal import PriorConfig, experiments, generate_design, gibbs_sample, simulate
+from nonmarginal import (
+    PriorConfig, ScenarioConfig, experiments, generate_design, gibbs_sample, simulate,
+)
 from nonmarginal.cli import main
 
 
@@ -67,6 +69,15 @@ def test_overrides_are_checked_as_config_fields(config_path, capsys, flag, value
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("override", [{"n_grid": 250}, {"prior": "gp_decay"}, {"replicates": 2.5}])
+def test_config_of_the_wrong_type_is_an_error(tmp_path, capsys, override):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(override))
+    assert main(["j-estimate", "--config", str(path), "--n", "80"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and next(iter(override)) in err
+
+
 def test_decide_rejects_conflicting_flags(config_path, tmp_path):
     assert main(
         ["decide", "--config", config_path, "--draws", "missing.csv",
@@ -94,6 +105,19 @@ def test_replicate_then_rates_round_trip(config_path, tmp_path, capsys):
     assert {path.name: path.read_bytes() for path in paths} == before
 
 
+def test_rates_without_an_exponent_writes_valid_json(config_path, tmp_path):
+    out = tmp_path / "scenario"
+    assert main(["replicate", "--config", config_path, "--out", str(out)]) == 0
+    (out / "exponent.json").unlink()
+    assert main(["rates", "--config", config_path, "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    fits = json.loads((out / "rate_fits.json").read_text(), parse_constant=reject)
+    assert {fit["exponent_reference"] for fit in fits.values()} == {"nan"}
+
+
 def test_calibrate_writes_traces(config_path, tmp_path):
     code = main(
         ["calibrate", "--config", config_path, "--alpha", "0.2", "--out", str(tmp_path / "cal")]
@@ -110,10 +134,68 @@ def test_j_estimate_prints_value(config_path, capsys):
     assert len(payload["per_hypothesis"]) == 5
 
 
-def test_check_subcommand_runs_fast_criteria(capsys):
+@pytest.fixture
+def dispatches(monkeypatch):
+    """The chain count of every batch, one list per sampling dispatch."""
+    real = experiments._parallel_map
+    seen = []
+
+    def counting(fn, items, workers):
+        seen.append([len(batch) for _, _, batch in items])
+        return real(fn, items, workers)
+
+    monkeypatch.setattr(experiments, "_parallel_map", counting)
+    return seen
+
+
+def test_check_subcommand_runs_fast_criteria(capsys, dispatches):
     assert main(["check", "--criteria", "9"]) == 0
     out = capsys.readouterr().out
     assert "criterion 9" in out and "PASS" in out
+    assert dispatches == []
+
+
+@pytest.mark.parametrize("token", ["10", "x"])
+def test_unknown_criterion_is_a_usage_error(capsys, token):
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", "--criteria", f"9,{token}"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and repr(token) in err and "1, 2, 3, 4, 5, 6, 7, 8, 9" in err
+
+
+@pytest.mark.parametrize("command", [["check", "--criteria", "2"], ["calibrate", "--alpha", "0.2"]])
+def test_the_grid_is_sampled_in_one_dispatch(command, tiny_cfg, tmp_path, dispatches):
+    path = tmp_path / "config.json"
+    # a tolerance no Monte Carlo error of 3 replicates exceeds, so calibration never grows
+    ScenarioConfig.from_dict({**tiny_cfg.to_dict(), "calibration_tolerance": 0.9}).to_json(path)
+    args = command + ["--config", str(path), "--workers", "1", "--out", str(tmp_path / "out")]
+    assert main(args) in (0, 1)  # the verdicts depend on the tiny scenario's noise
+    assert dispatches == [[9]]
+
+
+def test_criteria_judge_the_penalty_of_the_config(tiny_cfg, tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    ScenarioConfig.from_dict({**tiny_cfg.to_dict(), "penalty": 0.3}).to_json(path)
+    real = experiments.optimize_decisions
+    penalties = set()
+
+    def recording(indicators, groups, partition, penalty):
+        penalties.add(penalty)
+        return real(indicators, groups, partition, penalty)
+
+    monkeypatch.setattr(experiments, "optimize_decisions", recording)
+    args = ["replicate", "--config", str(path), "--workers", "1", "--out", str(tmp_path / "out"),
+            "--check", "--criteria", "2"]
+    assert main(args) in (0, 1)
+    assert penalties == {0.3}
+
+
+def test_monotone_curve_on_a_one_size_grid(tiny_cfg, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    ScenarioConfig.from_dict({**tiny_cfg.to_dict(), "n_grid": [40]}).to_json(path)
+    assert main(["check", "--criteria", "8", "--config", str(path), "--workers", "1"]) in (0, 1)
+    assert "criterion 8 (monotone curve)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

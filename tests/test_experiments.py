@@ -48,6 +48,9 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("field, value", [  # additive_cost: tests/test_decisions.py
         ("num_draws", 0), ("burn_in", -1), ("thinning", 0), ("target_alpha", 0.0),
         ("target_alpha", 1.0), ("calibration_tolerance", 0.0), ("workers", -1),
+        ("prior", "gp_decay"), ("n_grid", 250), ("n_grid", [250, 500.5]),
+        ("active_indices", [1, "5"]), ("replicates", 2.5), ("num_draws", True),
+        ("workers", "2"), ("penalty", "0.5"), ("include_rho_test", "no"),
     ])
     def test_fields_are_checked_at_construction(self, field, value):
         with pytest.raises(InvalidSpec, match=field):

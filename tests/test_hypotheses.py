@@ -287,6 +287,13 @@ class TestFiles:
         with pytest.raises(InvalidSpec):
             read_group_file(path, 4)
 
+    @pytest.mark.parametrize("row", ["1 x", "1 2.5"])
+    def test_malformed_group_file_names_path_and_line(self, tmp_path, row):
+        path = tmp_path / "groups.txt"
+        path.write_text(f"0\n\n{row}\n2\n")
+        with pytest.raises(InvalidSpec, match=rf"{path}, line 3"):
+            read_group_file(path, 3)
+
     def test_truth_file_round_trip(self, tmp_path):
         truth = TruthAssignment(np.array([True, False, True]))
         path = tmp_path / "truth.txt"
