@@ -26,7 +26,6 @@ from .decisions import (
     optimize_decisions,
 )
 from .error_rates import RateFit, posterior_rates, rate_fit
-from .exceptions import InvalidSpec
 from .experiments import Scenario, ScenarioConfig, design_for, seed_for
 from .hypotheses import (
     DecisionConfig,
@@ -57,11 +56,16 @@ class CriterionResult:
 
 
 def _decay_fits(scenario: Scenario) -> dict[str, RateFit]:
-    """The scenario's rate fits of the nonmarginal rule, by metric."""
-    fits = {metric: fit for (rule, metric), fit in scenario.fits.items() if rule == "nonmarginal"}
-    if not fits:
-        raise InvalidSpec("the decay fits need at least three sample sizes")
-    return fits
+    """The scenario's rate fits of the nonmarginal rule, by metric; none on a
+    grid of fewer than three sample sizes."""
+    return {metric: fit for (rule, metric), fit in scenario.fits.items() if rule == "nonmarginal"}
+
+
+def _without_fits(number: int, name: str, scenario: Scenario) -> CriterionResult:
+    """The failed result of a criterion that needs the decay fits the grid cannot give."""
+    sizes = len(scenario.cfg.n_grid)
+    return CriterionResult(number, name, False,
+                           f"the decay fits need at least three sample sizes, the grid has {sizes}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +173,8 @@ def _sci(value: float | None) -> str:
 
 def criterion_3_error_decay(scenario: Scenario) -> CriterionResult:
     decay = _decay_fits(scenario)
+    if not decay:
+        return _without_fits(3, "error decay", scenario)
     mfdr_fit, mfnr_fit = decay["mpbfdr"], decay["mpbfnr"]
     final = scenario.reports[(scenario.cfg.n_grid[-1], "nonmarginal")]
     ok = True
@@ -245,6 +251,9 @@ def _on_wrong_side(theta: Ar1Params, theta0: Ar1Params, spec: TestSpec, hypothes
 
 
 def criterion_5_exponent_sanity(scenario: Scenario) -> CriterionResult:
+    decay = _decay_fits(scenario)
+    if not decay:
+        return _without_fits(5, "divergence rate and exponent sanity", scenario)
     cfg = scenario.cfg
     n_max = cfg.n_grid[-1]
     ensemble = scenario.ensembles[n_max]
@@ -258,7 +267,6 @@ def criterion_5_exponent_sanity(scenario: Scenario) -> CriterionResult:
     )
     attained = abs(h_at_argmin - exponent.value) <= 1e-12
     wrong = _on_wrong_side(argmin, theta0, ensemble.spec, exponent.argmin_hypothesis)
-    decay = _decay_fits(scenario)
     slope = decay["mpbfdr"].slope
     ok = (
         h_at_truth == 0.0

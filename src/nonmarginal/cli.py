@@ -35,10 +35,11 @@ from .experiments import (
     run_scenario,
     seed_for,
     write_calibration_trace,
-    write_rate_fits,
+    write_reports,
 )
 from .hypotheses import (
     GroupStructure,
+    bit_string,
     connected_components,
     read_group_file,
     write_group_file,
@@ -126,19 +127,12 @@ def _cmd_decide(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "decisions.csv"
     sizes = "|".join(str(len(c)) for c in partition.components)
+    bits = bit_string(config.bits)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["d_hat_bits", "objective", "beta", "seed", "component_sizes"])
-        writer.writerow(
-            [
-                "".join("1" if b else "0" for b in config.bits),
-                f"{objective:.12g}",
-                f"{penalty:.12g}",
-                cfg.master_seed,
-                sizes,
-            ]
-        )
-    print(f"decision {''.join('1' if b else '0' for b in config.bits)} (objective {objective:.6g})")
+        writer.writerow([bits, f"{objective:.12g}", f"{penalty:.12g}", cfg.master_seed, sizes])
+    print(f"decision {bits} (objective {objective:.6g})")
     print(f"wrote {path}")
     return 0
 
@@ -147,13 +141,9 @@ def _cmd_replicate(args) -> int:
     cfg = _load_config(args)
     scenario = run_scenario(cfg, args.out, workers=args.workers)
     print(f"scenario {scenario.manifest.scenario_hash} finished; artifacts in {args.out}")
-    for key in sorted(scenario.reports):
-        n, rule = key
-        report = scenario.reports[key]
-        print(
-            f"  n={n} {rule}: mpbfdr={report.mpbfdr!r} mpbfnr={report.mpbfnr!r} "
-            f"(conditioning {report.n_conditioning_fdr}/{report.n_conditioning_fnr})"
-        )
+    for (n, rule), report in sorted(scenario.reports.items()):  # the keys are distinct
+        print(f"  n={n} {rule}: mpbfdr={report.mpbfdr!r} mpbfnr={report.mpbfnr!r} "
+              f"(conditioning {report.n_conditioning_fdr}/{report.n_conditioning_fnr})")
     for failure in scenario.manifest.failures:
         print(f"failed: {failure}", file=sys.stderr)
     code = _cmd_check(args, scenario) if args.check else 0
@@ -188,8 +178,10 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    cfg = _load_config(args)
     out = Path(args.out)
+    if args.config is None and (out / "config.json").exists():
+        args.config = str(out / "config.json")  # the replicate run's own, for its m_n
+    cfg = _load_config(args)
     pattern = re.compile(r"replicates_(?P<rule>\w+)_n(?P<n>\d+)\.csv$")
     found = {}
     for path in sorted(out.glob("replicates_*_n*.csv")):
@@ -203,17 +195,15 @@ def _cmd_rates(args) -> int:
     exponent = (
         json.loads(exponent_path.read_text())["value"] if exponent_path.exists() else float("nan")
     )
+    # the replicate run's rule order, so rates.csv comes back as it wrote it; samples nothing
+    rank = {rule: i for i, rule in enumerate(Scenario(cfg).penalties)}
     reports = {}
-    for (n, rule), path in sorted(found.items()):
-        report = aggregate_replicate_csv(path)
-        reports[(n, rule)] = report
-        (out / f"report_{rule}_n{n}.json").write_text(
-            json.dumps(report.payload(), indent=2, sort_keys=True)
-        )
+    for n, rule in sorted(found, key=lambda key: (key[0], rank.get(key[1], len(rank)), key[1])):
+        report = reports[(n, rule)] = aggregate_replicate_csv(found[(n, rule)])
         print(f"n={n} {rule}: mpbfdr={report.mpbfdr!r} mpbfnr={report.mpbfnr!r}")
     fits = rate_fits(reports, exponent)
+    write_reports(out, reports, fits, cfg.m_for)
     if fits:
-        write_rate_fits(out / "rate_fits.json", fits)
         print(f"wrote rate fits for {sorted(f'{rule}.{metric}' for rule, metric in fits)}")
     return 0
 

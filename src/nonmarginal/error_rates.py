@@ -129,8 +129,14 @@ def posterior_rates(
     )
 
 
+def _check_lengths(config: DecisionConfig, truth: TruthAssignment) -> None:
+    if len(config) != len(truth):
+        raise InvalidSpec("decision and truth vectors disagree on length")
+
+
 def false_discovery_proportion(config: DecisionConfig, truth: TruthAssignment) -> float | None:
     """Share of rejections that hit true nulls; None without any rejection."""
+    _check_lengths(config, truth)
     d = config.bits
     rejections = int(d.sum())
     if rejections == 0:
@@ -140,6 +146,7 @@ def false_discovery_proportion(config: DecisionConfig, truth: TruthAssignment) -
 
 def false_nondiscovery_proportion(config: DecisionConfig, truth: TruthAssignment) -> float | None:
     """Share of acceptances that miss true alternatives; None without any acceptance."""
+    _check_lengths(config, truth)
     a = ~config.bits
     acceptances = int(a.sum())
     if acceptances == 0:
@@ -147,53 +154,37 @@ def false_nondiscovery_proportion(config: DecisionConfig, truth: TruthAssignment
     return float((a & truth.alt_true).sum()) / acceptances
 
 
-def _conditional_mean(values: list[float]) -> tuple[float | None, float | None, int]:
+def _conditional_mean(values: list[float]) -> tuple[float | None, float | None]:
     count = len(values)
     if count == 0:
-        return None, None, 0
+        return None, None
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / math.sqrt(count)) if count > 1 else None
-    return mean, se, count
+    return mean, se
 
 
 def frequentist_rates(
-    replicates: Sequence[tuple[DecisionConfig, TruthAssignment, PosteriorErrorReport]],
+    replicates: Sequence[tuple[float | None, float | None, PosteriorErrorReport]],
 ) -> FrequentistErrorReport:
-    """Average per-replicate rates over their positive-denominator events."""
+    """Average per-replicate rates over their positive-denominator events.
+
+    Each replicate is its (fdp, fnp, posterior report) row.  A replicate with
+    at least one rejection (fdp not None) conditions the FDR rates, one with
+    at least one acceptance (fnp not None) the FNR rates.
+    """
     if len(replicates) == 0:
         raise InvalidSpec("need at least one replicate")
-    fdp, fnp = [], []
-    fdr_x, fnr_x, mfdr_x, mfnr_x = [], [], [], []
-    for config, truth, report in replicates:
-        if len(config) != len(truth):
-            raise InvalidSpec("decision and truth vectors disagree on length")
-        p = false_discovery_proportion(config, truth)
-        if p is not None:
-            fdp.append(p)
-            fdr_x.append(report.fdr_xn)
-            mfdr_x.append(report.mfdr_xn)
-        q = false_nondiscovery_proportion(config, truth)
-        if q is not None:
-            fnp.append(q)
-            fnr_x.append(report.fnr_xn)
-            mfnr_x.append(report.mfnr_xn)
-    return conditional_report((fdp, fnp, fdr_x, fnr_x, mfdr_x, mfnr_x), len(replicates))
-
-
-def conditional_report(samples: Sequence[list[float]], n_replicates: int) -> FrequentistErrorReport:
-    """Conditional means and standard errors of per-replicate rates.
-
-    ``samples`` holds, in ``RATE_FIELDS`` order, the fdp, fnp, fdr_xn, fnr_xn,
-    mfdr_xn and mfnr_xn values of the replicates inside the respective
-    conditioning events (at least one rejection, at least one acceptance).
-    """
-    stats = {name: _conditional_mean(values) for name, values in zip(RATE_FIELDS, samples)}
+    # each event's replicates as (proportion, posterior rate, modified posterior rate)
+    events = {"fdr": [(fdp, r.fdr_xn, r.mfdr_xn) for fdp, _, r in replicates if fdp is not None],
+              "fnr": [(fnp, r.fnr_xn, r.mfnr_xn) for _, fnp, r in replicates if fnp is not None]}
+    stats = {prefix + event: _conditional_mean([row[k] for row in rows])
+             for event, rows in events.items() for k, prefix in enumerate(("p", "pb", "mpb"))}
     return FrequentistErrorReport(
-        **{name: mean for name, (mean, _, _) in stats.items()},
-        standard_errors={name: se for name, (_, se, _) in stats.items()},
-        n_replicates=n_replicates,
-        n_conditioning_fdr=stats["pfdr"][2],
-        n_conditioning_fnr=stats["pfnr"][2],
+        **{name: mean for name, (mean, _) in stats.items()},
+        standard_errors={name: se for name, (_, se) in stats.items()},
+        n_replicates=len(replicates),
+        n_conditioning_fdr=len(events["fdr"]),
+        n_conditioning_fnr=len(events["fnr"]),
     )
 
 

@@ -19,7 +19,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -43,7 +43,6 @@ from .error_rates import (
     FrequentistErrorReport,
     PosteriorErrorReport,
     RateFit,
-    conditional_report,
     false_discovery_proportion,
     false_nondiscovery_proportion,
     frequentist_rates,
@@ -55,6 +54,7 @@ from .hypotheses import (
     DecisionConfig,
     GroupStructure,
     TestSpec,
+    bit_string,
     build_groups,
     connected_components,
     read_group_file,
@@ -83,18 +83,9 @@ _STAGE_GIBBS = 2
 # gammas and one block of normals per chain; a batch of more chains is split.
 BATCH_FLOAT_BUDGET = 2**22
 
-REPLICATE_CSV_COLUMNS = (
-    "replicate_id",
-    "n",
-    "beta",
-    "d_hat_bits",
-    "fdp",
-    "fnp",
-    "fdr_xn",
-    "fnr_xn",
-    "mfdr_xn",
-    "mfnr_xn",
-)
+# a replicate, its decision, and then its (fdp, fnp, posterior report) row
+REPLICATE_CSV_COLUMNS = ("replicate_id", "n", "beta", "d_hat_bits", "fdp", "fnp",
+                         *(f.name for f in fields(PosteriorErrorReport)))
 
 RATE_FIT_METRICS = ("mpbfdr", "mpbfnr", "pbfdr", "pbfnr")
 
@@ -293,7 +284,11 @@ class ReplicateFailure:
 
 @dataclass(frozen=True, eq=False)
 class MethodOutcome:
+    """A replicate's decision with its (fdp, fnp, report) row for ``frequentist_rates``."""
+
     config: DecisionConfig
+    fdp: float | None
+    fnp: float | None
     report: PosteriorErrorReport
 
 
@@ -397,11 +392,11 @@ def extend_ensembles(ensembles: list, count: int, workers: int) -> list[int]:
     this process when there is one batch).  New replicate ids are appended;
     existing replicates stay untouched.  Returns the chain count of each batch.
     """
-    growing = [e for e in ensembles if count > e._requested]
+    growing = [e for e in ensembles if count > e.attempted]
     if not growing:
         return []
     cfg = growing[0].cfg
-    jobs = [(e.n, rid) for e in growing for rid in range(e._requested, count)]
+    jobs = [(e.n, rid) for e in growing for rid in range(e.attempted, count)]
     designs = {e.n: e.design for e in growing}
     for design in designs.values():
         design.ztz  # cached here, so it is pickled with the design instead of recomputed per batch
@@ -416,7 +411,6 @@ def extend_ensembles(ensembles: list, count: int, workers: int) -> list[int]:
             else:
                 ensemble.replicates.append(item)
     for ensemble in growing:
-        ensemble._requested = count
         ensemble._decision_cache.clear()
         ensemble._report_cache.clear()
         if not ensemble.replicates:
@@ -451,7 +445,6 @@ class DecisionEnsemble:
         self.proportions = truth_proportions(self.groups, self.truth)
         self.replicates: list[ReplicatePosterior] = []
         self.failures: list[ReplicateFailure] = []
-        self._requested = 0
         self._decision_cache: dict[tuple, list[MethodOutcome]] = {}
         self._report_cache: dict[tuple, FrequentistErrorReport] = {}
         extend_ensembles([self], cfg.replicates if replicates is None else replicates, self.workers)
@@ -460,8 +453,13 @@ class DecisionEnsemble:
     def replicate_count(self) -> int:
         return len(self.replicates)
 
+    @property
+    def attempted(self) -> int:
+        """Replicate ids sampled so far, the failed ones included."""
+        return len(self.replicates) + len(self.failures)
+
     def grow(self) -> None:
-        extend_ensembles([self], 2 * self._requested, self.workers)
+        extend_ensembles([self], 2 * self.attempted, self.workers)
 
     def _decide_one(self, rep: ReplicatePosterior, rule: str, penalty: float) -> MethodOutcome:
         if rule == "nonmarginal":
@@ -473,7 +471,9 @@ class DecisionEnsemble:
         else:
             raise InvalidSpec(f"unknown decision rule {rule!r}")
         joint = joint_correct_probs(rep.indicators, self.groups, config)
-        return MethodOutcome(config, posterior_rates(rep.marginals, joint, config))
+        return MethodOutcome(config, false_discovery_proportion(config, self.truth),
+                             false_nondiscovery_proportion(config, self.truth),
+                             posterior_rates(rep.marginals, joint, config))
 
     def decide(self, penalty: float, rule: str = "nonmarginal") -> list[MethodOutcome]:
         key = (rule, round(float(penalty), 15))
@@ -486,15 +486,14 @@ class DecisionEnsemble:
     def frequentist(self, penalty: float, rule: str = "nonmarginal") -> FrequentistErrorReport:
         key = (rule, round(float(penalty), 15))
         if key not in self._report_cache:
-            outcomes = self.decide(penalty, rule)
             self._report_cache[key] = frequentist_rates(
-                [(o.config, self.truth, o.report) for o in outcomes]
+                [(o.fdp, o.fnp, o.report) for o in self.decide(penalty, rule)]
             )
         return self._report_cache[key]
 
     def evaluate(self, penalty: float, objective: str = "mpbfdr",
                  rule: str = "nonmarginal") -> CurvePoint:
-        if objective not in ("mpbfdr", "pbfdr", "mpbfnr", "pbfnr"):
+        if objective not in RATE_FIT_METRICS:
             raise InvalidSpec(f"unknown calibration objective {objective!r}")
         report = self.frequentist(penalty, rule)
         value = getattr(report, objective)
@@ -569,38 +568,47 @@ def rate_fits(reports: dict, exponent: float) -> dict[tuple[str, str], RateFit]:
     return fits
 
 
-def write_rate_fits(path, fits: dict[tuple[str, str], RateFit]) -> None:
-    Path(path).write_text(
-        json.dumps(
+def _cell(value: float | None) -> str:
+    """A CSV field of a rounded float; empty for an undefined one."""
+    return "" if value is None else f"{value:.12g}"
+
+
+def write_reports(out: Path, reports: dict, fits: dict[tuple[str, str], RateFit],
+                  m_for) -> list[str]:
+    """Write ``report_{rule}_n{n}.json`` per (n, rule), the long table
+    ``rates.csv`` in the order of ``reports``, and ``rate_fits.json`` when
+    there are ``fits``; return the names written.  ``m_for`` maps n to m_n."""
+    names = []
+    for (n, rule), report in reports.items():
+        path = out / f"report_{rule}_n{n}.json"
+        path.write_text(json.dumps(report.payload(), indent=2, sort_keys=True))
+        names.append(path.name)
+    with open(out / "rates.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "m_n", "method", "metric", "value", "se"])
+        for (n, rule), report in reports.items():
+            for metric in RATE_FIELDS:
+                value, se = getattr(report, metric), report.standard_errors[metric]
+                writer.writerow([n, m_for(n), rule, metric, _cell(value), _cell(se)])
+    names.append("rates.csv")
+    if fits:
+        (out / "rate_fits.json").write_text(json.dumps(
             {f"{rule}.{metric}": fit.payload() for (rule, metric), fit in fits.items()},
-            indent=2,
-            sort_keys=True,
-        )
-    )
+            indent=2, sort_keys=True))
+        names.append("rate_fits.json")
+    return names
 
 
 def write_replicate_csv(path, ensemble: DecisionEnsemble, outcomes: list[MethodOutcome],
                         penalty: float) -> None:
+    """One ``REPLICATE_CSV_COLUMNS`` row per replicate; an undefined fdp or fnp is empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPLICATE_CSV_COLUMNS)
         for rep, outcome in zip(ensemble.replicates, outcomes):
-            fdp = false_discovery_proportion(outcome.config, ensemble.truth)
-            fnp = false_nondiscovery_proportion(outcome.config, ensemble.truth)
-            writer.writerow(
-                [
-                    rep.replicate_id,
-                    rep.n,
-                    f"{penalty:.12g}",
-                    "".join("1" if b else "0" for b in outcome.config.bits),
-                    "" if fdp is None else repr(float(fdp)),
-                    "" if fnp is None else repr(float(fnp)),
-                    repr(float(outcome.report.fdr_xn)),
-                    repr(float(outcome.report.fnr_xn)),
-                    repr(float(outcome.report.mfdr_xn)),
-                    repr(float(outcome.report.mfnr_xn)),
-                ]
-            )
+            rates = (outcome.fdp, outcome.fnp, *astuple(outcome.report))
+            writer.writerow([rep.replicate_id, rep.n, _cell(penalty), bit_string(outcome.config.bits),
+                             *("" if x is None else repr(float(x)) for x in rates)])
 
 
 def write_calibration_trace(path, result: CalibrationResult) -> None:
@@ -610,17 +618,8 @@ def write_calibration_trace(path, result: CalibrationResult) -> None:
             ["iteration", "beta_lo", "beta_hi", "beta_mid", "mpbfdr", "se", "n_conditioning"]
         )
         for step in result.history:
-            writer.writerow(
-                [
-                    step.iteration,
-                    f"{step.beta_lo:.12g}",
-                    f"{step.beta_hi:.12g}",
-                    f"{step.beta_mid:.12g}",
-                    "" if step.value is None else f"{step.value:.12g}",
-                    "" if step.se is None else f"{step.se:.12g}",
-                    step.n_conditioning,
-                ]
-            )
+            values = (step.beta_lo, step.beta_hi, step.beta_mid, step.value, step.se)
+            writer.writerow([step.iteration, *map(_cell, values), step.n_conditioning])
 
 
 class Scenario:
@@ -699,17 +698,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
 
     t0 = time.perf_counter()
     ensembles = scenario.ensembles
-    failures = [str(failure) for failure in scenario.failures]
     wallclock["posterior_sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    for (n, rule), report in scenario.reports.items():
+    for n, rule in scenario.reports:
         penalty = scenario.penalties[rule]
         path = out / f"replicates_{rule}_n{n}.csv"
         write_replicate_csv(path, ensembles[n], ensembles[n].decide(penalty, rule), penalty)
-        rpath = out / f"report_{rule}_n{n}.json"
-        rpath.write_text(json.dumps(report.payload(), indent=2, sort_keys=True))
-        outputs += [path.name, rpath.name]
+        outputs.append(path.name)
     wallclock["decisions_and_rates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -718,11 +714,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
     outputs.append(epath.name)
     wallclock["error_exponent"] = time.perf_counter() - t0
 
-    if scenario.fits:
-        fpath = out / "rate_fits.json"
-        write_rate_fits(fpath, scenario.fits)
-        outputs.append(fpath.name)
+    outputs += write_reports(out, scenario.reports, scenario.fits, cfg.m_for)
 
+    infeasible = []
     if cfg.target_alpha is not None:
         t0 = time.perf_counter()
         for n in cfg.n_grid:
@@ -731,20 +725,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
             write_calibration_trace(tpath, result)
             outputs.append(tpath.name)
             if result.infeasible:
-                failures.append(f"calibration at n={n}: {result.reason}")
+                infeasible.append(f"calibration at n={n}: {result.reason}")
         wallclock["calibration"] = time.perf_counter() - t0
-
-    # plot-ready long-format table
-    ppath = out / "rates.csv"
-    with open(ppath, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "m_n", "method", "metric", "value", "se"])
-        for (n, rule), report in scenario.reports.items():
-            for metric in RATE_FIELDS:
-                value, se = getattr(report, metric), report.standard_errors[metric]
-                writer.writerow([n, cfg.m_for(n), rule, metric,
-                                 *("" if x is None else f"{x:.12g}" for x in (value, se))])
-    outputs.append(ppath.name)
 
     scenario.manifest = RunManifest(
         scenario_hash=cfg.scenario_hash(),
@@ -758,7 +740,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
         },
         outputs=sorted(outputs),
         wallclock=wallclock,
-        failures=failures,
+        # read after calibration, which may have grown an ensemble by failing replicates
+        failures=[str(failure) for failure in scenario.failures] + infeasible,
         sampling={"batches": len(scenario.batch_chains), "chains": scenario.batch_chains},
     )
     scenario.manifest.to_json(out / "manifest.json")
@@ -771,24 +754,16 @@ def aggregate_replicate_csv(path) -> FrequentistErrorReport:
     The empty fdp / fnp fields mark replicates outside the respective
     conditioning events, so the aggregation semantics survive the round trip.
     """
-    fdp, fnp = [], []
-    fdr_x, fnr_x, mfdr_x, mfnr_x = [], [], [], []
-    total = 0
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(REPLICATE_CSV_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise InvalidSpec(f"replicate CSV misses columns: {sorted(missing)}")
         for row in reader:
-            total += 1
-            if row["fdp"] != "":
-                fdp.append(float(row["fdp"]))
-                fdr_x.append(float(row["fdr_xn"]))
-                mfdr_x.append(float(row["mfdr_xn"]))
-            if row["fnp"] != "":
-                fnp.append(float(row["fnp"]))
-                fnr_x.append(float(row["fnr_xn"]))
-                mfnr_x.append(float(row["mfnr_xn"]))
-    if total == 0:
+            fdp, fnp = (None if row[name] == "" else float(row[name]) for name in ("fdp", "fnp"))
+            report = PosteriorErrorReport(*(float(row[f.name]) for f in fields(PosteriorErrorReport)))
+            rows.append((fdp, fnp, report))
+    if not rows:
         raise InvalidSpec(f"replicate CSV {path} is empty")
-    return conditional_report((fdp, fnp, fdr_x, fnr_x, mfdr_x, mfnr_x), total)
+    return frequentist_rates(rows)

@@ -346,8 +346,13 @@ def read_group_file(path, num_hypotheses: int | None = None) -> GroupStructure:
     return GroupStructure(tuple(groups))
 
 
+def bit_string(bits) -> str:
+    """A boolean vector as a string of 0/1 characters, one per hypothesis."""
+    return "".join("1" if b else "0" for b in bits)
+
+
 def write_truth_file(path, truth: TruthAssignment) -> None:
     """Single line of 0/1 bits, one per hypothesis."""
     with open(path, "w") as fh:
-        fh.write("".join("1" if b else "0" for b in truth.alt_true) + "\n")
+        fh.write(bit_string(truth.alt_true) + "\n")
 

@@ -96,13 +96,21 @@ def test_decide_rejects_a_cost_that_is_not_positive(config_path, tmp_path, draws
 def test_replicate_then_rates_round_trip(config_path, tmp_path, capsys):
     out = tmp_path / "scenario"
     assert main(["replicate", "--config", config_path, "--out", str(out)]) == 0
-    paths = sorted(out.glob("report_*.json")) + [out / "rate_fits.json"]
+    paths = sorted(out.glob("report_*.json")) + [out / "rate_fits.json", out / "rates.csv"]
     before = {path.name: path.read_bytes() for path in paths}
-    assert len(before) == 7
+    assert len(before) == 8
     for path in paths:
         path.unlink()
     assert main(["rates", "--config", config_path, "--out", str(out)]) == 0
     assert {path.name: path.read_bytes() for path in paths} == before
+
+
+def test_rates_reads_the_config_of_the_run_by_default(config_path, tmp_path):
+    out = tmp_path / "scenario"
+    assert main(["replicate", "--config", config_path, "--out", str(out)]) == 0
+    before = (out / "rates.csv").read_bytes()  # m_n is 3 here, 10 in the default config
+    assert main(["rates", "--out", str(out)]) == 0
+    assert (out / "rates.csv").read_bytes() == before
 
 
 def test_rates_without_an_exponent_writes_valid_json(config_path, tmp_path):
@@ -191,6 +199,18 @@ def test_criteria_judge_the_penalty_of_the_config(tiny_cfg, tmp_path, monkeypatc
     assert penalties == {0.3}
 
 
+def test_criteria_without_decay_fits_fail_and_the_others_still_report(tiny_cfg, tmp_path,
+                                                                      capsys):
+    path = tmp_path / "config.json"
+    ScenarioConfig.from_dict({**tiny_cfg.to_dict(), "n_grid": [40, 80]}).to_json(path)
+    args = ["check", "--criteria", "2,3,5", "--config", str(path), "--workers", "1"]
+    assert main(args) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" (")[0] for line in lines] == ["criterion 2", "criterion 3", "criterion 5"]
+    for line in lines[1:]:
+        assert line.endswith("FAIL - the decay fits need at least three sample sizes, the grid has 2")
+
+
 def test_monotone_curve_on_a_one_size_grid(tiny_cfg, tmp_path, capsys):
     path = tmp_path / "config.json"
     ScenarioConfig.from_dict({**tiny_cfg.to_dict(), "n_grid": [40]}).to_json(path)
@@ -226,3 +246,26 @@ def test_replicate_check_reuses_the_scenario_ensembles(config_path, tiny_cfg, tm
     assert main(args) in (0, 1)  # criterion 2's verdict depends on the tiny scenario's noise
     assert len(built) == len(tiny_cfg.n_grid) * tiny_cfg.replicates == 9
     assert len(set(built)) == 9
+
+
+def test_replicates_that_fail_while_calibration_grows_are_counted(tiny_cfg, tmp_path, monkeypatch,
+                                                                  capsys):
+    real = experiments.simulate_replicate
+
+    def flaky(cfg, design, replicate_id):  # only the ids that growing the budget adds fail
+        if replicate_id >= tiny_cfg.replicates:
+            raise RuntimeError("synthetic failure")
+        return real(cfg, design, replicate_id)
+
+    monkeypatch.setattr(experiments, "simulate_replicate", flaky)
+    path = tmp_path / "config.json"
+    ScenarioConfig.from_dict({**tiny_cfg.to_dict(), "target_alpha": 0.2}).to_json(path)
+    out = tmp_path / "out"
+    assert main(["replicate", "--config", str(path), "--workers", "1", "--out", str(out)]) == 1
+    grown = [f"replicate {rid} at n={n}: RuntimeError: synthetic failure"
+             for n in (80, 120) for rid in (3, 4, 5)]
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert failures[:6] == grown
+    assert [f.split(":")[0] for f in failures[6:]] == ["calibration at n=80", "calibration at n=120"]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"failed: {failure}" for failure in failures]

@@ -78,10 +78,18 @@ class TestProportions:
         assert false_nondiscovery_proportion(DecisionConfig([0, 0, 1, 1]), self.truth) == 0.5
         assert false_nondiscovery_proportion(DecisionConfig.all_reject(4), self.truth) is None
 
+    @pytest.mark.parametrize("proportion", [false_discovery_proportion,
+                                            false_nondiscovery_proportion])
+    def test_length_mismatch(self, proportion):
+        with pytest.raises(InvalidSpec, match="disagree on length"):
+            proportion(DecisionConfig.all_reject(3), self.truth)
 
-def _report(v, config):
+
+def _row(config, truth, v):
+    """A replicate's (fdp, fnp, posterior report) row, marginals ``v`` as joints."""
     v = np.asarray(v, dtype=float)
-    return posterior_rates(v, v, config)
+    return (false_discovery_proportion(config, truth), false_nondiscovery_proportion(config, truth),
+            posterior_rates(v, v, config))
 
 
 class TestFrequentistRates:
@@ -89,7 +97,7 @@ class TestFrequentistRates:
 
     def test_perfect_decisions(self):
         config = self.truth.true_config
-        rows = [(config, self.truth, _report([0.99, 0.01, 0.98], config))] * 3
+        rows = [_row(config, self.truth, [0.99, 0.01, 0.98])] * 3
         report = frequentist_rates(rows)
         assert report.pfdr == 0.0
         assert report.pfnr == 0.0
@@ -101,8 +109,8 @@ class TestFrequentistRates:
         c2 = DecisionConfig([True, True, True, True, True])
         t2 = TruthAssignment(np.array([True, True, True, False, False]))
         rows = [
-            (c1, t1, _report([0.9] * 5, c1)),
-            (c2, t2, _report([0.9] * 5, c2)),
+            _row(c1, t1, [0.9] * 5),
+            _row(c2, t2, [0.9] * 5),
         ]
         report = frequentist_rates(rows)
         assert report.pfdr == pytest.approx(0.3)  # mean of 0.2 and 0.4
@@ -111,7 +119,7 @@ class TestFrequentistRates:
 
     def test_empty_conditioning_is_flagged_not_zero(self):
         config = DecisionConfig.all_accept(3)
-        rows = [(config, self.truth, _report([0.5, 0.5, 0.5], config))] * 4
+        rows = [_row(config, self.truth, [0.5, 0.5, 0.5])] * 4
         report = frequentist_rates(rows)
         assert report.pfdr is None
         assert report.pbfdr is None
@@ -123,7 +131,7 @@ class TestFrequentistRates:
     def test_standard_errors(self):
         c = DecisionConfig([True, False, False])
         rows = [
-            (c, self.truth, _report(v, c))
+            _row(c, self.truth, v)
             for v in ([0.9, 0.1, 0.5], [0.7, 0.1, 0.5], [0.5, 0.1, 0.5])
         ]
         report = frequentist_rates(rows)
