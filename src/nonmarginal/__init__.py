@@ -65,12 +65,10 @@ from .model_ar1 import (
     ErrorExponent,
     PosteriorDraws,
     PriorConfig,
-    SignalMoments,
     estimate_error_exponent,
     generate_design,
     gibbs_sample,
     kl_divergence_rate,
     log_likelihood_ratio,
-    quadratic_limits,
     simulate,
 )

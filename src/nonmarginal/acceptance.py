@@ -38,7 +38,6 @@ from .model_ar1 import (
     Ar1Params,
     kl_divergence_rate,
     log_likelihood_ratio,
-    quadratic_limits,
     simulate,
 )
 
@@ -201,8 +200,7 @@ def criterion_3_error_decay(scenario: Scenario) -> CriterionResult:
 def _equipartition_deviation(cfg: ScenarioConfig, theta: Ar1Params, n: int, reps: int) -> float:
     design = design_for(cfg, n)
     theta0 = cfg.params_for(cfg.m_for(n))
-    moments = quadratic_limits(theta.beta, theta0.beta, design)
-    rate = kl_divergence_rate(theta, theta0, moments)
+    rate = kl_divergence_rate(theta, theta0, design)
     devs = []
     for rep in range(reps):
         data = simulate(theta0, design, n, seed=seed_for(cfg.master_seed, n, rep, 7))
@@ -258,13 +256,10 @@ def criterion_5_exponent_sanity(scenario: Scenario) -> CriterionResult:
     n_max = cfg.n_grid[-1]
     ensemble = scenario.ensembles[n_max]
     theta0 = cfg.params_for(cfg.m_for(n_max))
-    moments = quadratic_limits(theta0.beta, theta0.beta, ensemble.design)
-    h_at_truth = kl_divergence_rate(theta0, theta0, moments)
+    h_at_truth = kl_divergence_rate(theta0, theta0, ensemble.design)
     exponent = scenario.exponent
     argmin = exponent.argmin
-    h_at_argmin = kl_divergence_rate(
-        argmin, theta0, quadratic_limits(argmin.beta, theta0.beta, ensemble.design)
-    )
+    h_at_argmin = kl_divergence_rate(argmin, theta0, ensemble.design)
     attained = abs(h_at_argmin - exponent.value) <= 1e-12
     wrong = _on_wrong_side(argmin, theta0, ensemble.spec, exponent.argmin_hypothesis)
     slope = decay["mpbfdr"].slope
@@ -404,13 +399,10 @@ def criterion_9_exact_suite() -> CriterionResult:
         problems.append("posterior rate arithmetic")
 
     # frozen arithmetic: divergence rate with only the variance changed
-    moments_zero = quadratic_limits(
-        np.zeros(theta0.beta.size), np.zeros(theta0.beta.size), design
-    )
     h = kl_divergence_rate(
         Ar1Params(0.0, 2.0, np.zeros(theta0.beta.size)),
         Ar1Params(0.0, 1.0, np.zeros(theta0.beta.size)),
-        moments_zero,
+        design,
     )
     if abs(h - (0.5 * math.log(2.0) - 0.25)) > 1e-12:
         problems.append("divergence rate closed form")

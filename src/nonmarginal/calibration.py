@@ -49,12 +49,13 @@ class CurvePoint:
 class RateEnsemble(Protocol):  # pragma: no cover - structural type only
     """What calibration needs from a replicate ensemble.
 
-    ``evaluate`` must use common random numbers: repeated calls at different
-    penalties reuse the same replicates.  ``grow`` doubles the replicate
-    budget and may be a no-op for closed-form stand-ins.
+    ``evaluate`` gives the replicate-averaged mpbfdr at a penalty and must use
+    common random numbers: repeated calls at different penalties reuse the
+    same replicates.  ``grow`` doubles the replicate budget and may be a
+    no-op for closed-form stand-ins.
     """
 
-    def evaluate(self, penalty: float, objective: str = "mpbfdr") -> CurvePoint: ...
+    def evaluate(self, penalty: float) -> CurvePoint: ...
 
     def grow(self) -> None: ...
 
@@ -62,7 +63,6 @@ class RateEnsemble(Protocol):  # pragma: no cover - structural type only
 def mpbfdr_curve(
     ensemble: RateEnsemble,
     penalty_grid: Sequence[float],
-    objective: str = "mpbfdr",
 ) -> list[CurvePoint]:
     """Evaluate the replicate-averaged rate on an ascending penalty grid.
 
@@ -74,7 +74,7 @@ def mpbfdr_curve(
         raise InvalidSpec("penalties must lie in [0, 1)")
     if any(b >= c for b, c in zip(grid, grid[1:])):
         raise InvalidSpec("penalty grid must be strictly ascending")
-    return [ensemble.evaluate(b, objective=objective) for b in grid]
+    return [ensemble.evaluate(b) for b in grid]
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,6 @@ def calibrate_penalty(
     ensemble: RateEnsemble,
     tolerance: float,
     max_iterations: int = 40,
-    objective: str = "mpbfdr",
 ) -> CalibrationResult:
     """Bisect the penalty so the replicate-averaged rate matches the target.
 
@@ -132,11 +131,11 @@ def calibrate_penalty(
             CalibrationStep(iteration, lo, hi, mid, point.value, point.se, point.n_conditioning)
         )
 
-    at_zero = ensemble.evaluate(0.0, objective=objective)
+    at_zero = ensemble.evaluate(0.0)
     needs_precision = at_zero.se is not None and at_zero.se > tolerance / 2.0
     if at_zero.value is None or needs_precision:
         ensemble.grow()  # one automatic budget doubling, then flag if still short
-        at_zero = ensemble.evaluate(0.0, objective=objective)
+        at_zero = ensemble.evaluate(0.0)
     record(0, 0.0, 1.0, 0.0, at_zero)
 
     if at_zero.value is None:
@@ -165,7 +164,7 @@ def calibrate_penalty(
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         mid = 0.5 * (lo + hi)
-        point = ensemble.evaluate(mid, objective=objective)
+        point = ensemble.evaluate(mid)
         record(iterations, lo, hi, mid, point)
         effective = 0.0 if point.value is None else point.value
         if point.value is not None:

@@ -29,12 +29,12 @@ from .experiments import (
     ScenarioConfig,
     aggregate_replicate_csv,
     design_for,
-    exponent_payload,
     groups_for,
     rate_fits,
     run_scenario,
     seed_for,
-    write_calibration_trace,
+    write_calibrations,
+    write_exponent,
     write_reports,
 )
 from .hypotheses import (
@@ -155,26 +155,14 @@ def _cmd_calibrate(args) -> int:
     target = args.alpha if args.alpha is not None else (cfg.target_alpha or 0.1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = {}
-    failed = False
-    scenario = Scenario(cfg, workers=args.workers)
-    for n in cfg.n_grid:
-        result = scenario.calibrate(n, target)
-        write_calibration_trace(out / f"calibration_n{n}.csv", result)
-        summary[str(n)] = {
-            "beta_hat": result.beta_hat,
-            "achieved": result.achieved,
-            "iterations": result.iterations,
-            "infeasible": result.infeasible,
-            "reason": result.reason,
-        }
-        failed = failed or result.infeasible
-        print(
-            f"n={n}: beta_hat={result.beta_hat:.5f} achieved={result.achieved} "
-            f"({result.reason})"
-        )
+    results = write_calibrations(out, Scenario(cfg, workers=args.workers), target)
+    for n, result in results.items():
+        print(f"n={n}: beta_hat={result.beta_hat:.5f} achieved={result.achieved} ({result.reason})")
+    summary = {str(n): {"beta_hat": r.beta_hat, "achieved": r.achieved, "iterations": r.iterations,
+                        "infeasible": r.infeasible, "reason": r.reason}
+               for n, r in results.items()}
     (out / "calibration_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    return 1 if failed else 0
+    return 1 if any(result.infeasible for result in results.values()) else 0
 
 
 def _cmd_rates(args) -> int:
@@ -213,12 +201,9 @@ def _cmd_j_estimate(args) -> int:
     n = args.n or cfg.n_grid[-1]
     m = cfg.m_for(n)
     exponent = estimate_error_exponent(cfg.params_for(m), cfg.spec_for(m), design_for(cfg, n))
-    payload = exponent_payload(exponent, n)
-    print(json.dumps(payload, indent=2))
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "exponent.json").write_text(json.dumps(payload, indent=2))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    print(json.dumps(write_exponent(out, exponent, n), indent=2))
     return 0
 
 

@@ -537,9 +537,10 @@ class RunManifest:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True))
 
 
-def exponent_payload(exponent: ErrorExponent, n: int) -> dict:
-    """The ``exponent.json`` record of an error exponent computed at sample size n."""
-    return {
+def write_exponent(out: Path, exponent: ErrorExponent, n: int) -> dict:
+    """Write ``exponent.json``, the record of an error exponent computed at
+    sample size n, and return the record."""
+    payload = {
         "value": exponent.value,
         "argmin_hypothesis": exponent.argmin_hypothesis,
         "per_hypothesis": exponent.per_hypothesis.tolist(),
@@ -550,6 +551,8 @@ def exponent_payload(exponent: ErrorExponent, n: int) -> dict:
         },
         "n": n,
     }
+    (out / "exponent.json").write_text(json.dumps(payload, indent=2))
+    return payload
 
 
 def rate_fits(reports: dict, exponent: float) -> dict[tuple[str, str], RateFit]:
@@ -611,15 +614,22 @@ def write_replicate_csv(path, ensemble: DecisionEnsemble, outcomes: list[MethodO
                              *("" if x is None else repr(float(x)) for x in rates)])
 
 
-def write_calibration_trace(path, result: CalibrationResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["iteration", "beta_lo", "beta_hi", "beta_mid", "mpbfdr", "se", "n_conditioning"]
-        )
-        for step in result.history:
-            values = (step.beta_lo, step.beta_hi, step.beta_mid, step.value, step.se)
-            writer.writerow([step.iteration, *map(_cell, values), step.n_conditioning])
+def write_calibrations(out: Path, scenario: Scenario,
+                       target: float) -> dict[int, CalibrationResult]:
+    """Calibrate the penalty to ``target`` at every n of the grid, write each
+    bisection trace to ``calibration_n{n}.csv``, and return the results by n."""
+    results = {}
+    for n in scenario.cfg.n_grid:
+        result = results[n] = scenario.calibrate(n, target)
+        with open(out / f"calibration_n{n}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["iteration", "beta_lo", "beta_hi", "beta_mid", "mpbfdr", "se", "n_conditioning"]
+            )
+            for step in result.history:
+                values = (step.beta_lo, step.beta_hi, step.beta_mid, step.value, step.se)
+                writer.writerow([step.iteration, *map(_cell, values), step.n_conditioning])
+    return results
 
 
 class Scenario:
@@ -709,9 +719,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
     wallclock["decisions_and_rates"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    epath = out / "exponent.json"
-    epath.write_text(json.dumps(exponent_payload(scenario.exponent, cfg.n_grid[-1]), indent=2))
-    outputs.append(epath.name)
+    write_exponent(out, scenario.exponent, cfg.n_grid[-1])
+    outputs.append("exponent.json")
     wallclock["error_exponent"] = time.perf_counter() - t0
 
     outputs += write_reports(out, scenario.reports, scenario.fits, cfg.m_for)
@@ -719,11 +728,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Sc
     infeasible = []
     if cfg.target_alpha is not None:
         t0 = time.perf_counter()
-        for n in cfg.n_grid:
-            result = scenario.calibrate(n, cfg.target_alpha)
-            tpath = out / f"calibration_n{n}.csv"
-            write_calibration_trace(tpath, result)
-            outputs.append(tpath.name)
+        for n, result in write_calibrations(out, scenario, cfg.target_alpha).items():
+            outputs.append(f"calibration_n{n}.csv")
             if result.infeasible:
                 infeasible.append(f"calibration at n={n}: {result.reason}")
         wallclock["calibration"] = time.perf_counter() - t0

@@ -244,7 +244,7 @@ def _column_correlations(z: np.ndarray) -> np.ndarray:
 
 
 def build_groups(
-    design: "CovariateDesign | np.ndarray",
+    design: "CovariateDesign",
     spec: TestSpec,
     threshold: float = 0.5,
     max_group_size: int = 5,
@@ -260,7 +260,7 @@ def build_groups(
         raise InvalidSpec("correlation threshold must lie in [0, 1]")
     if max_group_size < 1:
         raise InvalidSpec("max_group_size must be at least 1")
-    z = design.z if hasattr(design, "z") else np.asarray(design, dtype=float)
+    z = design.z
     if z.shape[1] != spec.num_covariates + 1:
         raise InvalidSpec(
             f"design has {z.shape[1]} columns, spec wants {spec.num_covariates + 1}"

@@ -256,25 +256,6 @@ class PosteriorBatch:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SignalMoments:
-    """Average quadratic forms of the regression signal over the design.
-
-    ``model_power`` is the mean of (z_t' beta)^2; ``true_power`` the same under
-    the generating coefficients; ``cross_power`` the mean cross product.  These
-    finite-sample averages stand in for their long-run limits because they are
-    exactly the quantities the normalized expected log likelihood ratio sees.
-    """
-
-    model_power: float
-    true_power: float
-    cross_power: float
-
-    def __post_init__(self):
-        if self.model_power < 0 or self.true_power < 0:
-            raise InvalidSpec("squared-signal averages cannot be negative")
-
-
 # ---------------------------------------------------------------------------
 # design generation and simulation
 # ---------------------------------------------------------------------------
@@ -523,8 +504,6 @@ def log_likelihood_ratio(theta: Ar1Params, theta0: Ar1Params, data: Dataset) -> 
     (sums of x_t^2, x_t x_{t-1}, and design cross products), which agrees with
     the difference of the two Gaussian log densities to rounding error.
     """
-    if theta.sigma2 <= 0 or theta0.sigma2 <= 0:
-        raise InvalidSpec("sigma2 must be positive")
     p = data.design.num_covariates + 1
     if theta.num_coefficients != p or theta0.num_coefficients != p:
         raise InvalidSpec("coefficient vectors and design width disagree")
@@ -548,45 +527,32 @@ def log_likelihood_ratio(theta: Ar1Params, theta0: Ar1Params, data: Dataset) -> 
     return -neg
 
 
-def quadratic_limits(beta: np.ndarray, beta0: np.ndarray, design: CovariateDesign) -> SignalMoments:
-    """Finite-sample averages of the squared and crossed regression signals."""
-    beta = np.asarray(beta, dtype=float)
-    beta0 = np.asarray(beta0, dtype=float)
-    if beta.size != design.num_covariates + 1 or beta0.size != design.num_covariates + 1:
-        raise InvalidSpec("coefficient vectors and design width disagree")
-    fit = design.z @ beta
-    fit0 = design.z @ beta0
-    n = design.n_obs
-    return SignalMoments(
-        model_power=float(fit @ fit) / n,
-        true_power=float(fit0 @ fit0) / n,
-        cross_power=float(fit @ fit0) / n,
-    )
-
-
-def kl_divergence_rate(theta: Ar1Params, theta0: Ar1Params, moments: SignalMoments) -> float:
-    """Per-observation Kullback-Leibler divergence rate of theta0's law from theta's.
-
-    Closed form in the long-run second moment of the series,
-    V = (sigma0^2 + true_power) / (1 - rho0^2), evaluated term by term.  Requires
-    a stationary generating process (|rho0| < 1).
-    """
+def _long_run_variance(theta0: Ar1Params, gram: np.ndarray) -> float:
+    """V = (sigma0^2 + b0'G b0) / (1 - rho0^2), the long-run second moment of
+    the series theta0 generates on a design of Gram matrix G."""
     if abs(theta0.rho) >= 1.0:
-        raise InvalidSpec("the divergence rate needs |rho0| < 1")
-    if theta.sigma2 <= 0 or theta0.sigma2 <= 0:
-        raise InvalidSpec("sigma2 must be positive")
-    s2, s20 = theta.sigma2, theta0.sigma2
-    rho, rho0 = theta.rho, theta0.rho
-    v = (s20 + moments.true_power) / (1.0 - rho0**2)
-    return (
-        0.5 * math.log(s2 / s20)
-        + (0.5 / s2 - 0.5 / s20) * v
-        + (0.5 * rho**2 / s2 - 0.5 * rho0**2 / s20) * v
-        + 0.5 * moments.model_power / s2
-        - 0.5 * moments.true_power / s20
-        - (rho / s2 - rho0 / s20) * rho0 * v
-        - (moments.cross_power / s2 - moments.true_power / s20)
-    )
+        raise InvalidSpec("the long-run variance needs a stationary truth, |rho0| < 1")
+    beta0 = theta0.beta
+    return (theta0.sigma2 + float(beta0 @ gram @ beta0)) / (1.0 - theta0.rho**2)
+
+
+def kl_divergence_rate(theta: Ar1Params, theta0: Ar1Params, design: CovariateDesign) -> float:
+    """Per-observation Kullback-Leibler divergence rate of theta0's law from theta's:
+
+        h = log(sigma2 / sigma0^2) / 2 + A / (2 sigma2) - 1/2,
+        A = sigma0^2 + V (rho - rho0)^2 + (b - b0)' G (b - b0),
+
+    with G = (Z'Z)/n and V from ``_long_run_variance``.  Requires a stationary
+    generating process (|rho0| < 1).
+    """
+    p = design.num_covariates + 1
+    if theta.num_coefficients != p or theta0.num_coefficients != p:
+        raise InvalidSpec("coefficient vectors and design width disagree")
+    gram = design.gram()
+    gap = theta.beta - theta0.beta
+    a = theta0.sigma2 + _long_run_variance(theta0, gram) * (theta.rho - theta0.rho) ** 2
+    a += float(gap @ gram @ gap)
+    return 0.5 * math.log(theta.sigma2 / theta0.sigma2) + a / (2.0 * theta.sigma2) - 0.5
 
 
 def _nearer_boundary(value: float, bound: float) -> float:
@@ -621,14 +587,13 @@ def estimate_error_exponent(
     region (a coefficient clamped inside the null band, or forced outside it;
     the autoregression pulled inside, or pushed past, ``rho_null_bound``) while
     the remaining coefficients stay at their generating values and (rho,
-    sigma2) are free.  The divergence rate is then
+    sigma2) are free.  The divergence rate of ``kl_divergence_rate`` then has
 
-        h = log(sigma2 / sigma0^2) / 2 + A / (2 sigma2) - 1/2,
-        A = sigma0^2 + V (rho - rho0)^2 + G_ii (b_i - b0_i)^2,
+        A = sigma0^2 + V (rho - rho0)^2 + G_ii (b_i - b0_i)^2.
 
-    with G = (Z'Z)/n and V = (sigma0^2 + b0'G b0) / (1 - rho0^2).  The best
-    sigma2 is A, so h = log(A / sigma0^2) / 2, and the offending coordinate
-    sits on the wrong region's boundary nearest the truth, at distance delta:
+    The best sigma2 is A, so h = log(A / sigma0^2) / 2, and the offending
+    coordinate sits on the wrong region's boundary nearest the truth, at
+    distance delta:
 
         coefficient i:   J_i = log1p(G_ii delta^2 / sigma0^2) / 2,
                          delta = | |b0_i| - null_radius |, rho = rho0;
@@ -638,14 +603,12 @@ def estimate_error_exponent(
     Single-coordinate violations suffice: flipping several decisions shrinks
     the feasible set, so it cannot lower the minimum.
     """
-    if abs(theta0.rho) >= 1.0:
-        raise InvalidSpec("the error exponent needs |rho0| < 1")
     if theta0.num_coefficients != design.num_covariates + 1:
         raise InvalidSpec("coefficient vector and design width disagree")
     gram = design.gram()
     beta0 = theta0.beta
     s20 = theta0.sigma2
-    long_run = (s20 + float(beta0 @ gram @ beta0)) / (1.0 - theta0.rho**2)
+    long_run = _long_run_variance(theta0, gram)
 
     per_hypothesis = np.empty(spec.num_hypotheses)
     argmins: list[Ar1Params] = []

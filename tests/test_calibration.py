@@ -73,7 +73,7 @@ class _LinearEnsemble:
         self.se = se
         self.grow_calls = 0
 
-    def evaluate(self, penalty, objective="mpbfdr"):
+    def evaluate(self, penalty):
         return CurvePoint(penalty, self.peak * (1.0 - penalty), self.se, 100)
 
     def grow(self):
@@ -82,7 +82,7 @@ class _LinearEnsemble:
 
 
 class _EmptyEnsemble:
-    def evaluate(self, penalty, objective="mpbfdr"):
+    def evaluate(self, penalty):
         return CurvePoint(penalty, None, None, 0)
 
     def grow(self):
@@ -135,7 +135,7 @@ class TestCalibratePenalty:
 class _StepEnsemble:
     """Deterministic non-increasing staircase with an empty tail."""
 
-    def evaluate(self, penalty, objective="mpbfdr"):
+    def evaluate(self, penalty):
         if penalty >= 0.8:
             return CurvePoint(penalty, None, None, 0)
         value = 0.5 if penalty < 0.3 else 0.2

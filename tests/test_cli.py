@@ -135,11 +135,13 @@ def test_calibrate_writes_traces(config_path, tmp_path):
     assert (tmp_path / "cal" / "calibration_summary.json").exists()
 
 
-def test_j_estimate_prints_value(config_path, capsys):
-    assert main(["j-estimate", "--config", config_path, "--n", "80"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+def test_j_estimate_prints_value(config_path, capsys, tmp_path):
+    assert main(["j-estimate", "--config", config_path, "--n", "80", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    payload = json.loads(printed)
     assert payload["value"] >= 0.0
     assert len(payload["per_hypothesis"]) == 5
+    assert (tmp_path / "exponent.json").read_text() == printed.rstrip("\n")
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nonmarginal import (
     Ar1Params,
+    CovariateDesign,
     GroupStructure,
     InvalidSpec,
     PosteriorDraws,
@@ -127,7 +128,7 @@ class TestBuildGroups:
         z = np.array(design.z)
         z[:, 2] = z[:, 1]  # duplicate covariates 1 and 2: correlation exactly 1
         spec = TestSpec(num_covariates=3)
-        groups = build_groups(z, spec, threshold=0.9)
+        groups = build_groups(CovariateDesign(z, centered=True), spec, threshold=0.9)
         h1, h2 = spec.coefficient_hypothesis(1), spec.coefficient_hypothesis(2)
         assert h2 in groups.groups[h1]
         assert h1 in groups.groups[h2]

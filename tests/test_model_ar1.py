@@ -23,7 +23,6 @@ from nonmarginal import (
     gibbs_sample,
     kl_divergence_rate,
     log_likelihood_ratio,
-    quadratic_limits,
     simulate,
 )
 from nonmarginal import _blas, model_ar1
@@ -443,47 +442,80 @@ class TestLogLikelihoodRatio:
             log_likelihood_ratio(Ar1Params(0.0, 1.0, np.zeros(3)), self.theta0, data)
 
 
-class TestQuadraticLimits:
-    design = generate_design(150, 3, seed=9)
+def _signal_averages(beta, beta0, design):
+    """Averages of (z_t'b)^2, (z_t'b0)^2 and z_t'b z_t'b0 over the design rows."""
+    fit, fit0 = design.z @ beta, design.z @ beta0
+    n = design.n_obs
+    return float(fit @ fit) / n, float(fit0 @ fit0) / n, float(fit @ fit0) / n
 
-    def test_zero_coefficients(self):
-        moments = quadratic_limits(np.zeros(4), np.array([0.0, 1.0, 0.0, 0.0]), self.design)
-        assert moments.model_power == 0.0
-        assert moments.cross_power == 0.0
 
-    def test_equal_coefficients_collapse(self):
-        beta = np.array([0.2, -1.0, 0.4, 0.0])
-        moments = quadratic_limits(beta, beta, self.design)
-        assert moments.model_power == moments.true_power == moments.cross_power
-
-    def test_orthonormal_design_gives_squared_norm(self):
-        design = generate_design(100, 3, generator="orthogonalized", scale=1.0, seed=10)
-        beta = np.array([0.5, -1.0, 2.0, 0.25])
-        moments = quadratic_limits(beta, beta, design)
-        assert abs(moments.model_power - float(beta @ beta)) < 1e-8
+def _reference_rate(theta, theta0, averages):
+    """The divergence rate expanded term by term in the long-run second moment
+    V = (sigma0^2 + true_power) / (1 - rho0^2), from ``_signal_averages``: an
+    oracle that reads neither the Gram matrix nor the package's V."""
+    model_power, true_power, cross_power = averages
+    s2, s20 = theta.sigma2, theta0.sigma2
+    rho, rho0 = theta.rho, theta0.rho
+    v = (s20 + true_power) / (1.0 - rho0**2)
+    return (
+        0.5 * math.log(s2 / s20)
+        + (0.5 / s2 - 0.5 / s20) * v
+        + (0.5 * rho**2 / s2 - 0.5 * rho0**2 / s20) * v
+        + 0.5 * model_power / s2
+        - 0.5 * true_power / s20
+        - (rho / s2 - rho0 / s20) * rho0 * v
+        - (cross_power / s2 - true_power / s20)
+    )
 
 
 class TestKlDivergenceRate:
     def test_exact_zero_at_truth(self):
         design = generate_design(80, 2, seed=0)
         theta0 = Ar1Params(0.5, 1.3, np.array([0.1, 0.7, -0.2]))
-        moments = quadratic_limits(theta0.beta, theta0.beta, design)
-        assert kl_divergence_rate(theta0, theta0, moments) == 0.0
+        assert kl_divergence_rate(theta0, theta0, design) == 0.0
 
     def test_sigma_only_hand_value(self):
         design = generate_design(100, 2, seed=1)
         zero = np.zeros(3)
-        moments = quadratic_limits(zero, zero, design)
-        h = kl_divergence_rate(Ar1Params(0.0, 2.0, zero), Ar1Params(0.0, 1.0, zero), moments)
+        h = kl_divergence_rate(Ar1Params(0.0, 2.0, zero), Ar1Params(0.0, 1.0, zero), design)
         assert abs(h - (0.5 * math.log(2.0) - 0.25)) < 1e-12
+
+    def test_orthonormal_design_gives_squared_norm(self):
+        # G = I, so with rho and sigma2 at the truth h = |b - b0|^2 / (2 sigma0^2)
+        design = generate_design(100, 3, generator="orthogonalized", scale=1.0, seed=10)
+        theta0 = Ar1Params(0.3, 1.7, np.array([0.5, -1.0, 2.0, 0.25]))
+        gap = np.array([0.2, 0.0, -1.5, 0.7])
+        h = kl_divergence_rate(Ar1Params(0.3, 1.7, theta0.beta + gap), theta0, design)
+        assert abs(h - float(gap @ gap) / (2.0 * 1.7)) < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 120),
+        st.integers(0, 5),
+        st.sampled_from(["iid_gaussian_bounded", "orthogonalized"]),
+        st.integers(0, 2**16),
+        st.floats(-1.5, 1.5),
+        st.floats(-0.9, 0.9),
+        st.floats(0.3, 4.0),
+        st.floats(0.3, 4.0),
+    )
+    def test_matches_the_term_by_term_reference(self, n, m, generator, seed, rho, rho0, s2, s20):
+        if generator == "orthogonalized" and m + 1 > n:
+            n = m + 1
+        design = generate_design(n, m, generator=generator, seed=seed)
+        rng = np.random.default_rng(seed)
+        theta = Ar1Params(rho, s2, rng.uniform(-2.0, 2.0, m + 1))
+        theta0 = Ar1Params(rho0, s20, rng.uniform(-2.0, 2.0, m + 1))
+        want = _reference_rate(theta, theta0, _signal_averages(theta.beta, theta0.beta, design))
+        got = kl_divergence_rate(theta, theta0, design)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_empirical_equipartition_anchor(self):
         n = 4000
         design = generate_design(n, 3, seed=2)
         theta0 = Ar1Params(0.5, 1.0, np.array([0.0, 1.0, 0.0, -0.8]))
         theta = Ar1Params(0.6, 1.4, theta0.beta + np.array([0.0, 0.2, 0.0, 0.0]))
-        moments = quadratic_limits(theta.beta, theta0.beta, design)
-        rate = kl_divergence_rate(theta, theta0, moments)
+        rate = kl_divergence_rate(theta, theta0, design)
         devs = [
             log_likelihood_ratio(theta, theta0, simulate(theta0, design, n, seed=100 + r)) / n
             + rate
@@ -494,9 +526,14 @@ class TestKlDivergenceRate:
     def test_requires_stationary_truth(self):
         design = generate_design(50, 1, seed=0)
         zero = np.zeros(2)
-        moments = quadratic_limits(zero, zero, design)
         with pytest.raises(InvalidSpec):
-            kl_divergence_rate(Ar1Params(0.0, 1.0, zero), Ar1Params(1.0, 1.0, zero), moments)
+            kl_divergence_rate(Ar1Params(0.0, 1.0, zero), Ar1Params(1.0, 1.0, zero), design)
+
+    def test_coefficient_widths_must_match_the_design(self):
+        design = generate_design(50, 1, seed=0)
+        zero = np.zeros(2)
+        with pytest.raises(InvalidSpec):
+            kl_divergence_rate(Ar1Params(0.0, 1.0, np.zeros(1)), Ar1Params(0.0, 1.0, zero), design)
 
 
 class TestErrorExponent:
@@ -510,9 +547,9 @@ class TestErrorExponent:
         best = math.inf
         for b1 in np.arange(-0.1, 0.1 + 1e-12, 1e-3):
             beta = np.array([0.0, float(b1), 0.0])
-            moments = quadratic_limits(beta, self.theta0.beta, self.design)
+            averages = _signal_averages(beta, self.theta0.beta, self.design)
             for s2 in np.arange(0.5, 2.0 + 1e-12, 1e-3):
-                h = kl_divergence_rate(Ar1Params(0.0, float(s2), beta), self.theta0, moments)
+                h = _reference_rate(Ar1Params(0.0, float(s2), beta), self.theta0, averages)
                 best = min(best, h)
         assert abs(exponent.per_hypothesis[active_hyp] - best) < 1e-6
         # the overall minimum is the cheapest wrong decision across hypotheses
@@ -541,10 +578,10 @@ class TestErrorExponent:
                 beta = theta0.beta.copy()
                 if coef is not None:
                     beta[coef] = pinned
-                moments = quadratic_limits(beta, theta0.beta, self.design)
+                averages = _signal_averages(beta, theta0.beta, self.design)
                 for rho in rhos:
                     for s2 in sigma2s:
-                        h = kl_divergence_rate(Ar1Params(float(rho), float(s2), beta), theta0, moments)
+                        h = _reference_rate(Ar1Params(float(rho), float(s2), beta), theta0, averages)
                         best = min(best, h)
             assert abs(exponent.per_hypothesis[hyp] - best) < 1e-6, name
 
@@ -565,11 +602,11 @@ class TestErrorExponent:
         for b1 in grid:
             for b2 in np.concatenate([np.linspace(-1.5, -0.1, 15), np.linspace(0.1, 1.5, 15)]):
                 beta = np.array([0.0, float(b1), float(b2)])  # both decisions wrong
-                moments = quadratic_limits(beta, self.theta0.beta, self.design)
+                averages = _signal_averages(beta, self.theta0.beta, self.design)
                 for s2 in np.linspace(0.4, 3.0, 40):
                     worst = min(
                         worst,
-                        kl_divergence_rate(Ar1Params(0.0, float(s2), beta), self.theta0, moments),
+                        _reference_rate(Ar1Params(0.0, float(s2), beta), self.theta0, averages),
                     )
         assert worst >= exponent.value - 1e-9
 
