@@ -260,7 +260,10 @@ def optimize_decisions(
     """Maximize the penalized objective exactly, component by component.
 
     Ties go to the configuration with fewest rejections, then the
-    lexicographically smallest bit vector.  A component whose decision tables
+    lexicographically smallest bit vector.  The singletons are decided at
+    once: at ``penalty = p/q`` exactly, ``i`` is rejected when its alternative
+    count has ``count_i*q > p*N``, that is ``count_i > (p*N) // q``, so a tie
+    accepts, as in ``_Profile.rejections``.  A component whose decision tables
     would exceed ``GROUP_TABLE_BUDGET`` entries raises ``InvalidSpec``.
     """
     if not 0.0 <= penalty < 1.0:
@@ -270,7 +273,11 @@ def optimize_decisions(
         raise InvalidSpec("indicators, groups, and partition disagree on length")
     tables = _tables(indicators, groups)
     bits = np.zeros(h, dtype=bool)
+    singles = [component[0] for component in partition.components if len(component) == 1]
+    p, q = float(penalty).as_integer_ratio()
+    bits[singles] = np.array([tables.counts[i] for i in singles]) > p * tables.num_draws // q
     for component in partition.components:
-        profile = tables.profile(component)
-        bits[list(component)] = profile.decision(profile.rejections(penalty))
+        if len(component) > 1:
+            profile = tables.profile(component)
+            bits[list(component)] = profile.decision(profile.rejections(penalty))
     return DecisionConfig(bits)

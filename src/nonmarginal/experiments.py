@@ -344,7 +344,7 @@ def _sample_batch(args) -> list[ReplicatePosterior | ReplicateFailure]:
 def _batches(cfg: ScenarioConfig, designs: dict, jobs: list) -> list[list]:
     """Split jobs into contiguous batches of one design width each, every
     batch holding at most ``BATCH_FLOAT_BUDGET`` floats of retained draws,
-    gammas and noise blocks."""
+    gammas, noise blocks and bases."""
     by_width: dict[int, list] = {}
     for job in jobs:
         by_width.setdefault(designs[job[0]].z.shape[1], []).append(job)

@@ -1,16 +1,19 @@
 """AR(1) regression with time-varying covariates.
 
 Covers truth simulation, the two prior families for the coefficient vector,
-exact-conditional Gibbs sampling of the posterior, the expanded log likelihood
-ratio between two parameter points, the Kullback-Leibler divergence rate in
-closed form, and the error exponent that governs how fast posterior error
-rates vanish with the sample size.
+two-block Gibbs sampling of the posterior, the log likelihood ratio between
+two parameter points, the Kullback-Leibler divergence rate in closed form,
+and the error exponent that governs how fast posterior error rates vanish
+with the sample size.
 
 The observation model is
 
     x_t = rho * x_{t-1} + z_t' beta + eps_t,   eps_t ~ N(0, sigma2),  x_0 = 0,
 
-with ``z_t`` the ``t``-th design row (column 0 identically one).
+with ``z_t`` the ``t``-th design row (column 0 identically one).  Given the
+past it is a linear regression of ``x`` on ``W = [x_lag, Z]`` with
+coefficient ``theta = (rho, beta)``; the sampler and the likelihood ratio
+both read its statistics ``W'W``, ``W'x`` and ``x'x``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .exceptions import InfeasibleDesign, InvalidSpec, NumericalFailure
 from .hypotheses import TestSpec
 
 _KERNEL_JITTER = 1e-8
-# sweeps of standard normals a Gibbs chain holds at once, and draws rotated to beta at once
+# sweeps of standard normals a Gibbs chain holds at once, and draws rotated to theta at once
 _NOISE_BLOCK = 512
 # log Φ(-3) and the log mass of N(0, 1) on [-3, 3], as scipy.stats.truncnorm has them
 _LOG_CDF_LOWER = special.log_ndtr(-3.0)
@@ -334,18 +337,24 @@ def simulate(params: Ar1Params, design: CovariateDesign, n: int, seed=0) -> Data
 # Gibbs sampling
 # ---------------------------------------------------------------------------
 
-def _sufficient_statistics(data: Dataset) -> tuple:
-    """(Z'Z, Z'x, Z'x_lag, x'x, x'x_lag, x_lag'x_lag): all the data the likelihood sees."""
-    z = data.design.z
-    x = data.x
-    xl = data.lagged()
-    return data.design.ztz, z.T @ x, z.T @ xl, float(x @ x), float(x @ xl), float(xl @ xl)
+def _regression_statistics(data: Dataset) -> tuple[np.ndarray, np.ndarray, float]:
+    """W'W, W'x and x'x of the regression of x on W = [x_lag, Z]: all the data
+    the likelihood sees.  The Z'Z block is the design's own."""
+    z, x, xl = data.design.z, data.x, data.lagged()
+    p = z.shape[1] + 1
+    wtw = np.empty((p, p))
+    wtw[0, 0] = xl @ xl
+    wtw[0, 1:] = wtw[1:, 0] = z.T @ xl
+    wtw[1:, 1:] = data.design.ztz
+    wtx = np.concatenate(([xl @ x], z.T @ x))
+    return wtw, wtx, float(x @ x)
 
 
-def _eigenbasis(covariance: np.ndarray, ztz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V = L W and lambda, where covariance = L L' and L' Z'Z L = W diag(lambda) W'.
+def _eigenbasis(covariance: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V = L W and lambda, where covariance = L L' and L' gram L = W diag(lambda) W'.
 
-    Then V' covariance^-1 V = I and V' Z'Z V = diag(lambda).
+    Then V' covariance^-1 V = I and V' gram V = diag(lambda).  A non-finite
+    ``gram`` gives a NaN basis, never seen by ``eigh``.
     """
     try:
         chol = np.linalg.cholesky(covariance)
@@ -353,14 +362,19 @@ def _eigenbasis(covariance: np.ndarray, ztz: np.ndarray) -> tuple[np.ndarray, np
         raise NumericalFailure(
             "coefficient prior covariance is not positive definite even after jitter"
         ) from exc
-    lam, w = np.linalg.eigh(chol.T @ ztz @ chol)
+    whitened = chol.T @ gram @ chol
+    if not np.isfinite(whitened).all():
+        return np.full_like(chol, np.nan), np.full(len(chol), np.nan)
+    lam, w = np.linalg.eigh(whitened)
     return chol @ w, lam
 
 
 def _floats_per_chain(width: int, num_draws: int, burn_in: int, thinning: int) -> int:
-    """Floats ``gibbs_sample`` holds per chain: retained draws, gammas, one block of normals."""
+    """Floats ``gibbs_sample`` holds per chain: retained draws, gammas, one
+    block of normals and the (p + 1)^2 basis."""
     total = burn_in + num_draws * thinning
-    return num_draws * (width + 2) + total + min(total, _NOISE_BLOCK) * (width + 1)
+    return (num_draws * (width + 2) + total + min(total, _NOISE_BLOCK) * (width + 1)
+            + (width + 1) ** 2)
 
 
 # a chain that overflows becomes a NumericalFailure of its own; the others never see it
@@ -375,31 +389,32 @@ def gibbs_sample(
     thinning: int = 1,
     seeds,
 ) -> PosteriorBatch:
-    """Sample the posterior of every dataset, one chain each, by cycling exact full conditionals.
+    """Sample the posterior of every dataset, one chain each, by two exact blocks.
 
-    beta given (rho, sigma2) is a conjugate Gaussian regression on the
-    quasi-differenced response; rho given (beta, sigma2) is a univariate
-    Gaussian regression of the residual on the lagged series; sigma2 given the
-    rest is inverse-gamma.  Every conditional is sampled exactly, so there is
-    no step-size tuning.  beta = V u with V from ``_eigenbasis``, so the
-    precision of u | (rho, sigma2) is diag(lambda)/sigma2 + I for either prior
-    family, and one sweep is O(p) elementwise work on sufficient statistics
-    rotated once per chain, regardless of the series length.
+    Given sigma2 the model is a Gaussian regression of x on W = [x_lag, Z]
+    with coefficient theta = (rho, beta) and prior covariance
+    blockdiag(rho_prior_sd^2, Sigma0), so theta | sigma2 is drawn in one block,
+    and sigma2 | theta is inverse-gamma.  Both conditionals are exact, so
+    there is no step-size tuning, and rho and beta never wait on each other
+    however x_lag correlates with the columns of Z.  theta = V u with V from
+    ``_eigenbasis`` on W'W, once per chain, so the precision of u | sigma2 is
+    diag(lambda)/sigma2 + I for either prior family, and one sweep is O(p)
+    elementwise work on c = V'W'x and x'x, regardless of the series length.
 
-    The chains are the rows of (R, p) arrays, so one sweep of the batch is the
-    same few dozen numpy calls whatever R is.  The datasets must share p but
-    may differ in length and design; the basis is computed once per distinct
-    design.  Chain r draws its noise from its own generator ``seeds[r]``: T
-    standard gammas at once, then T x (p + 1) standard normals in blocks of
-    ``_NOISE_BLOCK`` rows, row t holding the p normals of u and the one of rho
-    at sweep t.  The blocks continue the same stream, so they change no draw,
-    and the batch holds its retained draws, its gammas and one block of
-    normals.  Every step is elementwise or a reduction along the chain's own
-    row, so a chain's draws are the same bits in any batch, and a chain that
-    goes non-finite becomes a ``NumericalFailure`` in ``chains`` without
-    touching the others.  ``chains[r].draws`` is chain r's slice of the
-    batch's one block of retained draws, rotated to beta in place, in blocks
-    of ``_NOISE_BLOCK`` rows.
+    The chains are the rows of (R, p + 1) arrays, so one sweep of the batch
+    is the same dozen or so numpy calls whatever R is.  The datasets must
+    share p but may differ in length and design.  Chain r draws its noise
+    from its own generator ``seeds[r]``: T standard gammas at once, then
+    T x (p + 1) standard normals in blocks of ``_NOISE_BLOCK`` rows, row t
+    holding the p + 1 normals of u at sweep t.  The blocks continue the same
+    stream, so they change no draw, and the batch holds its retained draws,
+    its gammas and one block of normals.  Every step is elementwise or a
+    reduction along the chain's own row, so a chain's draws are the same bits
+    in any batch, and a chain whose W'W or draws go non-finite becomes a
+    ``NumericalFailure`` in ``chains`` without touching the others.
+    ``chains[r].draws`` is chain r's slice of the batch's one block of
+    retained draws, rotated to theta in place, in blocks of ``_NOISE_BLOCK``
+    rows.
     """
     datasets, seeds = list(datasets), list(seeds)
     if not datasets or len(seeds) != len(datasets):
@@ -411,81 +426,69 @@ def gibbs_sample(
     widths = {data.design.z.shape[1] for data in datasets}
     if len(widths) != 1:
         raise InvalidSpec("the datasets of one batch must share the coefficient count")
-    (p,) = widths
+    (width,) = widths
+    p = width + 1  # theta = (rho, beta)
     chains = len(datasets)
     total = burn_in + num_draws * thinning
 
-    bases: dict[int, tuple] = {}
-    row_basis = []
-    lam, a, c = np.empty((3, chains, p))
-    xx, xxl, xlxl = np.empty((3, chains, 1))
+    covariance = np.zeros((p, p))
+    covariance[0, 0] = prior.rho_prior_sd**2
+    covariance[1:, 1:] = prior.beta_covariance(width - 1)
+    bases = []
+    lam, c = np.empty((2, chains, p))
+    xx = np.empty((chains, 1))
     rngs = []
     two_gammas = np.empty((total, chains, 1))
     for r, (data, seed) in enumerate(zip(datasets, seeds)):
-        design = data.design
-        if id(design) not in bases:
-            bases[id(design)] = _eigenbasis(prior.beta_covariance(design.num_covariates), design.ztz)
-        basis, lam[r] = bases[id(design)]
-        row_basis.append(basis)
-        _, ztx, ztxl, xx[r], xxl[r], xlxl[r] = _sufficient_statistics(data)
-        a[r] = basis.T @ ztx
-        c[r] = basis.T @ ztxl
+        wtw, wtx, xx[r] = _regression_statistics(data)
+        basis, lam[r] = _eigenbasis(covariance, wtw)
+        bases.append(basis)
+        c[r] = basis.T @ wtx
         rng = _rng(seed)
         two_gammas[:, r, 0] = rng.standard_gamma(prior.sigma2_shape + 0.5 * data.n_obs, size=total)
         rngs.append(rng)
     two_gammas *= 2.0
     # constants enter the sweep as (R, 1) arrays: a Python-float operand costs
     # numpy more per call than the arithmetic on a few chains
-    two_a, two_xxl = 2.0 * a, 2.0 * xxl
-    rho_prec0 = np.full((chains, 1), 1.0 / prior.rho_prior_sd**2)
+    two_c = 2.0 * c
     two_rate = np.full((chains, 1), 2.0 * prior.sigma2_rate)
-    zero = np.zeros((chains, 1))
+    two_rate_xx = two_rate + xx
 
-    rho = np.zeros((chains, 1))
+    # retained rows hold (u, sigma2) until theta = V u is rotated in after the loop
+    kept = np.empty((chains, num_draws, p + 1))
     sigma2 = np.ones((chains, 1))
-    kept = np.empty((chains, num_draws, p + 2))
     k = 0
-    # one block of noise rows at a time, split so the sweep reads contiguous u and rho parts
     block = min(_NOISE_BLOCK, total)
-    z_us, z_rhos = np.empty((block, chains, p)), np.empty((block, chains, 1))
+    normals = np.empty((block, chains, p))
     for start in range(0, total, block):
         rows = min(block, total - start)
         for r, rng in enumerate(rngs):
-            noise = rng.standard_normal((rows, p + 1))
-            z_us[:rows, r] = noise[:, :p]
-            z_rhos[:rows, r] = noise[:, p:]
-        for sweep, z_u, z_rho, two_gamma in zip(range(start, start + rows), z_us, z_rhos,
-                                                 two_gammas[start:]):
-            # beta = V u | rho, sigma2: precision (lambda + sigma2) / sigma2 per coordinate
+            normals[:rows, r] = rng.standard_normal((rows, p))
+        for sweep, z, two_gamma in zip(range(start, start + rows), normals, two_gammas[start:]):
+            # theta = V u | sigma2: precision (lambda + sigma2) / sigma2 per coordinate
             q = lam + sigma2
-            u = (a - rho * c) / q + z_u * np.sqrt(sigma2 / q)
+            u = c / q + z * np.sqrt(sigma2 / q)
 
-            # rho | beta, sigma2: precision (x_lag'x_lag + rho_prec0 sigma2) / sigma2
-            uc = np.add.reduce(u * c, axis=1, keepdims=True)
-            q_rho = xlxl + rho_prec0 * sigma2
-            rho = (xxl - uc) / q_rho + z_rho * np.sqrt(sigma2 / q_rho)
-
-            # sigma2 | beta, rho = (rate + ssr / 2) / gamma, ssr = |x - rho x_lag - Z V u|^2
-            ssr = (
-                xx
-                + rho * (rho * xlxl - two_xxl + uc + uc)
-                + np.add.reduce(u * (lam * u - two_a), axis=1, keepdims=True)
-            )
-            sigma2 = (two_rate + np.maximum(ssr, zero)) / two_gamma
+            # sigma2 | theta = (2 rate + max(ssr, 0)) / (2 gamma), where
+            # ssr = |x - W V u|^2 = x'x + sum u (lambda u - 2c)
+            ssr_less_xx = np.add.reduce(u * (lam * u - two_c), axis=1, keepdims=True)
+            sigma2 = np.maximum(two_rate_xx + ssr_less_xx, two_rate) / two_gamma
 
             if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
-                kept[:, k, :1] = rho
-                kept[:, k, 1:2] = sigma2
-                kept[:, k, 2:] = u
+                kept[:, k, :p] = u
+                kept[:, k, p:] = sigma2
                 k += 1
 
-    # the noise is spent: free it, and the loop's views of it, before beta = U V'
-    del two_gammas, two_gamma, z_us, z_rhos, z_u, z_rho, noise
+    # the noise is spent: free it, and the loop's views of it, before theta = U V'
+    del two_gammas, two_gamma, normals, z
     out = []
-    for r, draws in enumerate(kept):
+    for basis, draws in zip(bases, kept):
         for lo in range(0, num_draws, _NOISE_BLOCK):
-            u = draws[lo:lo + _NOISE_BLOCK, 2:]
-            u[...] = u @ row_basis[r].T
+            part = draws[lo:lo + _NOISE_BLOCK]
+            theta = part[:, :p] @ basis.T  # (u, sigma2) becomes (rho, sigma2, beta)
+            part[:, 1] = part[:, p]
+            part[:, 0] = theta[:, 0]
+            part[:, 2:] = theta[:, 1:]
         if np.isfinite(draws).all():
             out.append(PosteriorDraws(draws))
         else:
@@ -500,29 +503,24 @@ def gibbs_sample(
 def log_likelihood_ratio(theta: Ar1Params, theta0: Ar1Params, data: Dataset) -> float:
     """log of the density ratio f_theta / f_theta0 at the observed series.
 
-    Evaluated through the expanded quadratic form in the sufficient statistics
-    (sums of x_t^2, x_t x_{t-1}, and design cross products), which agrees with
-    the difference of the two Gaussian log densities to rounding error.
+    Each density reads the residual sum of squares of the regression of x on
+    W = [x_lag, Z], rss(t) = x'x - 2 t'W'x + t'W'W t at t = (rho, beta), which
+    agrees with the difference of the two Gaussian log densities to rounding
+    error.
     """
     p = data.design.num_covariates + 1
     if theta.num_coefficients != p or theta0.num_coefficients != p:
         raise InvalidSpec("coefficient vectors and design width disagree")
-    n = data.n_obs
-    ztz, ztx, ztxl, sxx, sxl, sll = _sufficient_statistics(data)
+    wtw, wtx, xx = _regression_statistics(data)
 
-    s2, s20 = theta.sigma2, theta0.sigma2
-    rho, rho0 = theta.rho, theta0.rho
-    b, b0 = theta.beta, theta0.beta
+    def rss(params: Ar1Params) -> float:
+        t = np.concatenate(([params.rho], params.beta))
+        return xx - 2.0 * float(t @ wtx) + float(t @ wtw @ t)
 
     neg = (
-        0.5 * n * math.log(s2 / s20)
-        + (0.5 / s2 - 0.5 / s20) * sxx
-        + (0.5 * rho**2 / s2 - 0.5 * rho0**2 / s20) * sll
-        + 0.5 * float(b @ ztz @ b) / s2
-        - 0.5 * float(b0 @ ztz @ b0) / s20
-        - (rho / s2 - rho0 / s20) * sxl
-        - float((b / s2 - b0 / s20) @ ztx)
-        + float((rho * b / s2 - rho0 * b0 / s20) @ ztxl)
+        0.5 * data.n_obs * math.log(theta.sigma2 / theta0.sigma2)
+        + 0.5 * rss(theta) / theta.sigma2
+        - 0.5 * rss(theta0) / theta0.sigma2
     )
     return -neg
 

@@ -259,15 +259,26 @@ def test_replicates_that_fail_while_calibration_grows_are_counted(tiny_cfg, tmp_
             raise RuntimeError("synthetic failure")
         return real(cfg, design, replicate_id)
 
+    grown_sizes = []  # the sizes whose calibration grows the budget, in the order they grow
+    real_grow = experiments.DecisionEnsemble.grow
+
+    def recording_grow(ensemble):
+        grown_sizes.append(ensemble.n)
+        return real_grow(ensemble)
+
     monkeypatch.setattr(experiments, "simulate_replicate", flaky)
+    monkeypatch.setattr(experiments.DecisionEnsemble, "grow", recording_grow)
     path = tmp_path / "config.json"
     ScenarioConfig.from_dict({**tiny_cfg.to_dict(), "target_alpha": 0.2}).to_json(path)
     out = tmp_path / "out"
     assert main(["replicate", "--config", str(path), "--workers", "1", "--out", str(out)]) == 1
+    assert grown_sizes and grown_sizes == sorted(set(grown_sizes))
     grown = [f"replicate {rid} at n={n}: RuntimeError: synthetic failure"
-             for n in (80, 120) for rid in (3, 4, 5)]
+             for n in grown_sizes for rid in (3, 4, 5)]
     failures = json.loads((out / "manifest.json").read_text())["failures"]
-    assert failures[:6] == grown
-    assert [f.split(":")[0] for f in failures[6:]] == ["calibration at n=80", "calibration at n=120"]
+    assert failures[:len(grown)] == grown
+    assert [f.split(":")[0] for f in failures[len(grown):]] == [
+        f"calibration at n={n}" for n in grown_sizes
+    ]
     err = capsys.readouterr().err.splitlines()
     assert err == [f"failed: {failure}" for failure in failures]

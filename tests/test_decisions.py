@@ -319,6 +319,32 @@ class TestOptimizer:
         assert found.bits.tolist() == [False, True, False]
         assert not additive_rule_at_penalty(marginal_probs(ind), 0.3).bits[1]
 
+    def test_singletons_decide_like_their_profiles(self):
+        # columns 0..8 hold 5j of 40 draws, so count * q == p * N at every
+        # penalty j/8; columns 9..11 are random, and 9 and 10 form a pair
+        rng = np.random.default_rng(11)
+        matrix = np.zeros((40, 12), dtype=bool)
+        for j, count in enumerate([5 * j for j in range(9)] + rng.integers(0, 41, 3).tolist()):
+            matrix[rng.permutation(40)[:count], j] = True
+        ind = _indicators_from_matrix(matrix)
+        groups = GroupStructure(tuple(
+            frozenset({9, 10}) if i in (9, 10) else frozenset({i}) for i in range(12)
+        ))
+        partition = connected_components(groups)
+        penalties = [j / 8 for j in range(8)] + [0.1, 0.3, 1 / 3] + rng.uniform(0, 1, 10).tolist()
+        for penalty in penalties:
+            found = optimize_decisions(ind, groups, partition, penalty)
+            tables = decisions._tables(ind, groups)
+            assert set(tables.profiles) == {(9, 10)}  # singletons build no profile
+            expected = np.zeros(12, dtype=bool)
+            for component in partition.components:
+                profile = decisions._Profile(tables, list(component))
+                expected[list(component)] = profile.decision(profile.rejections(penalty))
+            assert found.bits.tolist() == expected.tolist(), penalty
+        # the tie at 20 of 40 draws accepts at penalty 1/2
+        bits = optimize_decisions(ind, groups, partition, 0.5).bits
+        assert bits[:9].tolist() == [False] * 5 + [True] * 4
+
     def test_two_hypotheses_joint_case_matches_enumeration(self):
         ind = _indicators_from_matrix([[1, 1], [1, 0], [0, 1], [1, 1]])
         groups = GroupStructure((frozenset({0, 1}), frozenset({0, 1})))

@@ -270,6 +270,44 @@ class TestGibbs:
             assert stats.kstest(white[:, i], "norm").pvalue > 1e-3, i
         assert np.abs(np.cov(white, rowvar=False) - np.eye(4)).max() < 0.12
 
+    @pytest.mark.parametrize("family", ["independent_gaussian", "gp_decay"])
+    def test_joint_conditional_matches_exact_posterior(self, family):
+        # with sigma2 pinned at 2 and rho free, theta = (rho, beta) | data is
+        # N(P^-1 W'x / 2, P^-1) with W = [x_lag, Z] and
+        # P = W'W / 2 + blockdiag(1 / rho_sd^2, Sigma0^-1) exactly; the active
+        # intercept and rho0 = 0.9 make x_lag and the intercept column correlate
+        beta = np.array([1.5, 1.0, 0.0, -0.7])
+        design = generate_design(300, 3, seed=10)
+        data = simulate(Ar1Params(0.9, 2.0, beta), design, 300, seed=11)
+        prior = PriorConfig(
+            family=family, beta_sd=1.0, rho_prior_sd=1.0, sigma2_shape=1e8, sigma2_rate=2e8
+        )
+        draws = gibbs_sample([data], prior, num_draws=4000, burn_in=100, seeds=[12]).chains[0]
+        w = np.column_stack((data.lagged(), design.z))
+        prior_precision = np.zeros((5, 5))
+        prior_precision[0, 0] = 1.0
+        prior_precision[1:, 1:] = np.linalg.inv(prior.beta_covariance(3))
+        precision = w.T @ w / 2.0 + prior_precision
+        mean = np.linalg.solve(precision, w.T @ data.x / 2.0)
+        theta = np.column_stack((draws.rho, draws.beta))
+        white = (theta - mean) @ np.linalg.cholesky(precision)
+        for i in range(white.shape[1]):
+            assert stats.kstest(white[:, i], "norm").pvalue > 1e-3, i
+        assert np.abs(np.cov(white, rowvar=False) - np.eye(5)).max() < 0.12
+
+    def test_rho_mixes_when_the_lag_correlates_with_the_intercept(self):
+        # an active intercept and rho0 = 0.9 give x_lag a large mean, so a
+        # sampler that alternates rho and beta crawls along their ridge
+        beta = np.zeros(11)
+        beta[[0, 5, 9]] = 1.5
+        design = generate_design(250, 10, seed=250)
+        datasets = [simulate(Ar1Params(0.9, 1.0, beta), design, 250, seed=s) for s in range(4)]
+        batch = gibbs_sample(datasets, PriorConfig(), num_draws=4000, burn_in=1000,
+                             seeds=[10, 11, 12, 13])
+        for chain in batch.chains:
+            rho = chain.rho - chain.rho.mean()
+            assert float(rho[1:] @ rho[:-1] / (rho @ rho)) < 0.1
+
     def test_thinning_and_validation(self):
         design = generate_design(50, 1, seed=0)
         data = simulate(Ar1Params(0.0, 1.0, np.zeros(2)), design, 50, seed=0)
@@ -343,7 +381,7 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         design, _ = _wide_batch(5)
-        assert counts == [1]
+        assert counts == [1, 1]  # one basis per chain, each on one thread
         assert get() == caller_threads
         generate_design(300, 40, seed=6).ztz
         assert get() == caller_threads
