@@ -10,7 +10,6 @@ than statistical.  Criteria 2 and 3 judge the config's penalties.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -102,16 +101,34 @@ def _exact_objective(bits, indicators, structure, penalty) -> Fraction:
 
 
 def _global_argmax(indicators, structure, penalty):
-    """Brute force over every configuration, exact values, identical tie-breaking:
+    """Enumeration of every configuration, exact values, identical tie-breaking:
     the largest objective, then the fewest rejections, then the first vector
-    in lexicographic order."""
-    best_key, best_bits = None, None
-    for assignment in itertools.product((False, True), repeat=indicators.num_hypotheses):
-        bits = np.array(assignment, dtype=bool)
-        key = (_exact_objective(bits, indicators, structure, penalty), -int(bits.sum()))
-        if best_key is None or key > best_key:
-            best_key, best_bits = key, bits
-    return DecisionConfig(best_bits), best_key[0]
+    in lexicographic order.
+
+    C(d) = sum_i d_i c_i(d), with c_i(d) the draws on which every decision of
+    group i is correct, is counted at all 2^h codes at once by ``bincount``.
+    Bit h-1-i of a code holds d_i, so code order is lexicographic order.  At
+    penalty = a/b the objective C/N - (a/b)|d| orders as the integer
+    b C - a N |d|.
+    """
+    h, n = indicators.num_hypotheses, indicators.num_draws
+    ind = indicators.ind
+    bits = (np.arange(1 << h, dtype=np.int64)[:, None] >> np.arange(h - 1, -1, -1)) & 1
+    hits = np.zeros(1 << h, dtype=np.int64)
+    for i in range(h):
+        others = structure.others(i)
+        weights = 1 << np.arange(len(others), dtype=np.int64)
+        counts = np.bincount(ind[ind[:, i]][:, others].astype(np.int64) @ weights,
+                             minlength=1 << len(others))
+        hits += bits[:, i] * counts[bits[:, others] @ weights]
+    beta = Fraction(penalty)
+    a, b = beta.numerator, beta.denominator
+    rejections = bits.sum(axis=1).tolist()
+    hits = hits.tolist()
+    best = max(range(1 << h), key=lambda code: (b * hits[code] - a * n * rejections[code],
+                                                -rejections[code]))
+    return (DecisionConfig(bits[best].astype(bool)),
+            Fraction(hits[best], n) - beta * rejections[best])
 
 
 def criterion_1_oracle_equivalence(instances: int = 100, seed: int = 7) -> CriterionResult:

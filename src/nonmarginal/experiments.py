@@ -79,8 +79,9 @@ _STAGE_DESIGN = 0
 _STAGE_SIMULATE = 1
 _STAGE_GIBBS = 2
 
-# Floats that one sampling batch may hold at once (32 MiB): retained draws,
-# gammas and one block of normals per chain; a batch of more chains is split.
+# Floats that one sampling batch may hold at once (32 MiB): per chain a row of
+# normals and sigma2 and a gamma per sweep, and a basis; a batch of more chains
+# is split.
 BATCH_FLOAT_BUDGET = 2**22
 
 # a replicate, its decision, and then its (fdp, fnp, posterior report) row
@@ -343,8 +344,9 @@ def _sample_batch(args) -> list[ReplicatePosterior | ReplicateFailure]:
 
 def _batches(cfg: ScenarioConfig, designs: dict, jobs: list) -> list[list]:
     """Split jobs into contiguous batches of one design width each, every
-    batch holding at most ``BATCH_FLOAT_BUDGET`` floats of retained draws,
-    gammas, noise blocks and bases."""
+    batch holding at most ``BATCH_FLOAT_BUDGET`` floats of sweep rows (the
+    retained draws, and the other sweeps' normals and sigma2), gammas and
+    bases."""
     by_width: dict[int, list] = {}
     for job in jobs:
         by_width.setdefault(designs[job[0]].z.shape[1], []).append(job)

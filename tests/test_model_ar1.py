@@ -230,6 +230,37 @@ class TestGibbs:
                                  seeds=[i + 1]).chains[0]
             assert np.array_equal(batch.chains[i].draws, alone.draws)
 
+    # at n = 30 and 10 covariates sigma2 contracts by only about 0.4 a sweep, so
+    # no segment of 3 or 8 sweeps meets its record inside itself and the repair
+    # takes pass after pass; 60 and 62 draws leave no one-row block to rotate
+    @pytest.mark.parametrize("burn_in,num_draws,block", [(5, 60, 3), (5, 60, 8), (0, 62, 8)])
+    def test_slow_segments_change_no_draw(self, monkeypatch, burn_in, num_draws, block):
+        params = Ar1Params(0.4, 1.0, np.resize([0.0, 1.0, -0.5], 11))
+        datasets = [simulate(params, generate_design(n, 10, seed=n), n, seed=n) for n in (30, 90)]
+
+        def draws(block):
+            monkeypatch.setattr(model_ar1, "_NOISE_BLOCK", block)
+            batch = gibbs_sample(datasets, PriorConfig(), num_draws=num_draws, burn_in=burn_in,
+                                 seeds=[5, 6])
+            return [chain.draws.tobytes() for chain in batch.chains]
+
+        assert draws(block) == draws(1000)
+
+    def test_non_finite_chain_settles_in_short_segments(self, monkeypatch):
+        # a NaN start equals no start under ==, so only NaN-aware equality lets
+        # the repair of the failed chain's 17 segments end
+        params = Ar1Params(0.4, 1.0, np.array([0.0, 1.0, -0.5]))
+        design = generate_design(80, 2, seed=3)
+        datasets = [simulate(params, design, 80, seed=s) for s in (1, 2, 3)]
+        datasets[1] = Dataset(datasets[1].x * 1e200, design, seed=2)
+        monkeypatch.setattr(model_ar1, "_NOISE_BLOCK", 3)
+        batch = gibbs_sample(datasets, PriorConfig(), num_draws=40, burn_in=10, seeds=[1, 2, 3])
+        assert isinstance(batch.chains[1], NumericalFailure)
+        for i in (0, 2):
+            alone = gibbs_sample([datasets[i]], PriorConfig(), num_draws=40, burn_in=10,
+                                 seeds=[i + 1]).chains[0]
+            assert batch.chains[i].draws.tobytes() == alone.draws.tobytes()
+
     def test_sigma2_conditional_matches_exact_posterior(self):
         # with beta and rho pinned at zero the model is x_t = eps_t and
         # sigma2 | data is inverse-gamma(a + n/2, b + sum(x^2)/2) exactly
@@ -335,7 +366,8 @@ class TestGibbs:
         design.ztz
         batch, peak = _traced_peak(gibbs_sample, datasets, PriorConfig(), num_draws=4000,
                                    seeds=[3, 4])
-        # retained draws, plus the gammas, a noise block and one block's U V' product
+        # retained draws, plus the burn-in's normals and sigma2, the gammas and
+        # the segment plan while sampling, or one block's u and U V' after
         assert peak <= 1.35 * sum(chain.draws.nbytes for chain in batch.chains)
         assert batch.chains[0].draws.base is batch.chains[1].draws.base
 
