@@ -79,9 +79,9 @@ _STAGE_DESIGN = 0
 _STAGE_SIMULATE = 1
 _STAGE_GIBBS = 2
 
-# Floats that one sampling batch may hold at once (32 MiB): per chain a row of
-# normals and sigma2 and a gamma per sweep, and a basis; a batch of more chains
-# is split.
+# Floats that one sampling batch may hold at once (32 MiB): per chain each
+# sweep's normals, sigma2 and gamma, and a basis; a batch of more chains is
+# split.
 BATCH_FLOAT_BUDGET = 2**22
 
 # a replicate, its decision, and then its (fdp, fnp, posterior report) row
@@ -145,7 +145,6 @@ class ScenarioConfig:
     replicates: int = 200
     num_draws: int = 4000
     burn_in: int = 1000
-    thinning: int = 1
     master_seed: int = 20260809
     workers: int = 0  # 0 = all usable cores
 
@@ -177,8 +176,8 @@ class ScenarioConfig:
             raise InvalidSpec("target_alpha must lie strictly inside (0, 1)")
         if not self.calibration_tolerance > 0:
             raise InvalidSpec("calibration_tolerance must be positive")
-        if self.num_draws < 1 or self.burn_in < 0 or self.thinning < 1:
-            raise InvalidSpec("need num_draws >= 1, burn_in >= 0 and thinning >= 1")
+        if self.num_draws < 1 or self.burn_in < 0:
+            raise InvalidSpec("need num_draws >= 1 and burn_in >= 0")
         if self.workers < 0:
             raise InvalidSpec("workers must be non-negative (0 = all usable cores)")
         m_min = self.m_for(self.n_grid[0])
@@ -324,7 +323,7 @@ def _sample_batch(args) -> list[ReplicatePosterior | ReplicateFailure]:
         seeds = [seed_for(cfg.master_seed, n, rid, _STAGE_GIBBS) for n, rid in simulated]
         try:
             chains = gibbs_sample(datasets, cfg.prior, num_draws=cfg.num_draws,
-                                  burn_in=cfg.burn_in, thinning=cfg.thinning, seeds=seeds).chains
+                                  burn_in=cfg.burn_in, seeds=seeds).chains
         except Exception as exc:  # noqa: BLE001 - reported once per replicate of the batch
             chains = [exc] * len(simulated)
         for (n, rid), draws in zip(simulated, chains):
@@ -344,16 +343,15 @@ def _sample_batch(args) -> list[ReplicatePosterior | ReplicateFailure]:
 
 def _batches(cfg: ScenarioConfig, designs: dict, jobs: list) -> list[list]:
     """Split jobs into contiguous batches of one design width each, every
-    batch holding at most ``BATCH_FLOAT_BUDGET`` floats of sweep rows (the
-    retained draws, and the other sweeps' normals and sigma2), gammas and
+    batch holding at most ``BATCH_FLOAT_BUDGET`` floats of sweep rows (each
+    sweep's normals and sigma2, which the draws overwrite), gammas and
     bases."""
     by_width: dict[int, list] = {}
     for job in jobs:
         by_width.setdefault(designs[job[0]].z.shape[1], []).append(job)
     batches = []
     for width, group in by_width.items():
-        fits = BATCH_FLOAT_BUDGET // _floats_per_chain(width, cfg.num_draws, cfg.burn_in,
-                                                       cfg.thinning)
+        fits = BATCH_FLOAT_BUDGET // _floats_per_chain(width, cfg.num_draws, cfg.burn_in)
         count = math.ceil(len(group) / max(1, fits))
         bounds = [len(group) * i // count for i in range(count + 1)]
         batches += [group[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

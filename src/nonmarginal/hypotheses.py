@@ -93,7 +93,10 @@ class TestSpec:
         # filled in place: stacking the parts raised a 4-chain, p = 41 batch's peak RSS by 4 MB
         alt = np.empty((beta.shape[0], self.num_hypotheses), dtype=bool)
         first = int(self.include_rho_test)
-        np.greater(np.abs(beta), self.null_radius, out=alt[:, first:])
+        # |b| > r as b > r or b < -r, so no float copy of beta is made
+        coefficients = alt[:, first:]
+        np.greater(beta, self.null_radius, out=coefficients)
+        coefficients |= beta < -self.null_radius
         if self.include_rho_test:
             np.greater_equal(np.abs(rho), self.rho_null_bound, out=alt[:, 0])
         return alt

@@ -20,8 +20,8 @@ started from the chain's own start, and then repairs each segment from the
 end of the one before until its sigma2 meets what it recorded.  Only sigma2
 carries state from one sweep to the next, so from that sweep on the record is
 the sequential chain's, and the draws are the sequential chain's bit for bit.
-While sampling, a chain holds its draws, the other sweeps' normals and
-sigma2, and its gammas.
+While sampling, a chain holds each sweep's normals and sigma2 in one buffer,
+which its draws then overwrite, and its gammas.
 """
 
 from __future__ import annotations
@@ -40,9 +40,12 @@ from .exceptions import InfeasibleDesign, InvalidSpec, NumericalFailure
 from .hypotheses import TestSpec
 
 _KERNEL_JITTER = 1e-8
-# most sweeps in one segment of a Gibbs chain, and the rows of draws rotated
-# to theta at once (under thinning, also the sweeps of normals drawn at once)
+# most sweeps in one segment of a Gibbs chain
 _NOISE_BLOCK = 512
+# rows of every chain's draws rotated to theta at once: the draws' bits depend
+# on it through the U V' product, and its temporaries come on top of the
+# burn-in's rows, which are held while it runs
+_ROTATION_ROWS = 64
 # log Φ(-3) and the log mass of N(0, 1) on [-3, 3], as scipy.stats.truncnorm has them
 _LOG_CDF_LOWER = special.log_ndtr(-3.0)
 _LOG_MASS = special.log1p(-special.ndtr(-3.0) - special.ndtr(-3.0))
@@ -378,32 +381,22 @@ def _eigenbasis(covariance: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, n
     return chol @ w, lam
 
 
-def _floats_per_chain(width: int, num_draws: int, burn_in: int, thinning: int) -> int:
-    """Floats ``gibbs_sample`` holds per chain: a (p + 2)-float row per sweep
-    (the retained draws, and the other sweeps' normals and sigma2), a gamma
-    per sweep and the (p + 1)^2 basis, for p = ``width``."""
-    return (burn_in + num_draws * thinning) * (width + 3) + (width + 1) ** 2
+def _floats_per_chain(width: int, num_draws: int, burn_in: int) -> int:
+    """Floats ``gibbs_sample`` holds per chain: p + 2 floats per sweep (its
+    normals and sigma2, which the kept sweeps' draws overwrite), a gamma per
+    sweep and the (p + 1)^2 basis, for p = ``width``."""
+    return (burn_in + num_draws) * (width + 3) + (width + 1) ** 2
 
 
-def _segments(total: int, thinning: int) -> tuple[int, int]:
-    """Length and count of a chain's segments: one, or equal runs of at most
-    ``_NOISE_BLOCK`` sweeps cut to whole thinning intervals, the last one
-    shorter when they do not divide the chain."""
-    length = -(-total // -(-total // _NOISE_BLOCK))
-    if length < total:
-        length = max(thinning, length - length % thinning)
-    return length, -(-total // length)
-
-
-def _u_given(sigma2, z, lam, c, out=None):
+def _u_given(sigma2, z, lam, c):
     """u | sigma2 = c / q + z sqrt(sigma2 / q), q = lambda + sigma2: its
-    precision is q / sigma2 per coordinate."""
+    precision is q / sigma2 per coordinate.  ``lam + sigma2`` has u's shape."""
     q = lam + sigma2
     noise = sigma2 / q
     np.sqrt(noise, out=noise)
     noise *= z
     np.divide(c, q, out=q)
-    return np.add(q, noise, out=out)
+    return np.add(q, noise, out=q)
 
 
 def _sigma2_given(u, lam, two_c, two_rate_xx, two_rate, two_gamma):
@@ -418,125 +411,28 @@ def _same(a, b):
     return (a == b) | (np.isnan(a) & np.isnan(b))
 
 
-class _SweepRows:
-    """Each sweep's p normals and the sigma2 it ends with, per chain.
-
-    Retained sweep i, sweep ``burn_in + i * thinning``, keeps its normals in
-    row i of ``z[1]`` and its sigma2 in ``s2[1][:, i]``; every other sweep
-    keeps its own in ``z[0]`` and ``s2[0]``, in sweep order: the burn-in, then
-    the ``thinning - 1`` sweeps after each retained one.  Each chain's side
-    lays out its normals first and its sigma2 after, in ``kept`` for the
-    retained sweeps: the (R, num_draws, p + 1) block the draws are rotated
-    into.
-    """
-
-    def __init__(self, chains: int, p: int, num_draws: int, burn_in: int, thinning: int):
-        self.kept = np.empty((chains, num_draws, p + 1))
-        other = burn_in + num_draws * (thinning - 1)
-        halves = [(np.empty((chains, other * (p + 1))), other),
-                  (self.kept.reshape(chains, -1), num_draws)]
-        self.z = tuple(flat[:, :rows * p].reshape(chains, rows, p) for flat, rows in halves)
-        self.s2 = tuple(flat[:, rows * p:] for flat, rows in halves)
-        self.burn_in, self.thinning = burn_in, thinning
-
-    def locate(self, t):
-        """(in kept, row) of the sweeps in the int array ``t``."""
-        after = t - self.burn_in
-        i, phase = np.divmod(after, self.thinning)
-        in_kept = (after >= 0) & (phase == 0)
-        skipped = self.burn_in + i * (self.thinning - 1) + phase - 1
-        return in_kept, np.where(after < 0, t, np.where(in_kept, i, skipped))
-
-    def strided(self, first, count, step) -> np.ndarray:
-        """(in kept, first row, count, row stride) of each run of sweeps t,
-        t + step, ..., ``count`` of them, for t in ``first``.  A run lies on
-        one side at evenly spaced rows when ``step`` is a whole number of
-        thinning intervals and the run does not cross the end of the burn-in."""
-        in_kept, row = self.locate(first)
-        stride = np.where(count > 1, self.locate(first + step)[1] - row, 1)
-        return np.column_stack([in_kept, row, count, stride])
-
-    def view(self, in_kept, row, count, stride):
-        """The (R, count, p) normals and (R, count) sigma2 of one run ``strided`` describes."""
-        rows = slice(row, row + (count - 1) * stride + 1, stride)
-        return self.z[in_kept][:, rows], self.s2[in_kept][:, rows]
-
-    def get(self, sides, r, t):
-        """The rows of chains ``r`` at sweeps ``t`` in ``z`` or ``s2``, copied."""
-        in_kept, row = self.locate(t)
-        out = np.empty((r.size,) + sides[0].shape[2:])
-        for side, at in zip(sides, (~in_kept, in_kept)):
-            out[at] = side[r[at], row[at]]
-        return out
-
-    def record(self, r, t, sigma2):
-        """Record ``sigma2`` as the sigma2 of chains ``r`` at sweeps ``t``."""
-        in_kept, row = self.locate(t)
-        for side, at in zip(self.s2, (~in_kept, in_kept)):
-            side[r[at], row[at]] = sigma2[at]
-
-    def draw(self, r, rng):
-        """Chain r's normals from ``rng`` in stream order, straight into their
-        rows, or under thinning ``_NOISE_BLOCK`` sweeps at a time."""
-        (other_z, kept_z), burn_in, thinning = self.z, self.burn_in, self.thinning
-        rng.standard_normal(out=other_z[r, :burn_in])
-        if thinning == 1:
-            rng.standard_normal(out=kept_z[r])
-            return
-        units, (num_draws, p) = max(1, _NOISE_BLOCK // thinning), kept_z.shape[1:]
-        for lo in range(0, num_draws, units):
-            hi = min(lo + units, num_draws)
-            z = rng.standard_normal((hi - lo, thinning, p))
-            kept_z[r, lo:hi] = z[:, 0]
-            other_z[r, burn_in + lo * (thinning - 1):burn_in + hi * (thinning - 1)] = (
-                z[:, 1:].reshape(-1, p))
-
-    def sigma2_before_kept(self) -> np.ndarray:
-        """(R, num_draws): the sigma2 each retained sweep starts from, the
-        chain's start or the last burn-in sweep's, then each thinning-th sweep's."""
-        chains, num_draws = self.s2[1].shape
-        out = np.ones((chains, num_draws))
-        runs = self.strided(np.array([self.burn_in - 1, self.burn_in + self.thinning - 1]),
-                            np.array([min(self.burn_in, 1), num_draws - 1]), self.thinning)
-        for lo, run in zip((0, 1), runs.tolist()):
-            out[:, lo:lo + run[2]] = self.view(*run)[1]
-        return out
-
-
-def _step_segments(rows: _SweepRows, const, two_gammas, length: int, segments: int) -> None:
+def _step_segments(z, s2, const, two_gammas, length: int, segments: int) -> None:
     """Step the segments of every chain side by side, each from sigma2 = 1,
-    and record the sigma2 each sweep ends with.
+    and record in ``s2`` the sigma2 each sweep ends with.
 
-    Step s runs sweep j * length + s of every segment j still running; the
-    burn-in segments' rows and the others' are one strided view each.  The
-    constants are repeated across segments, so of the operands only sigma2
-    broadcasts along a row.
+    Step s runs sweep j * length + s of every segment j still running: the
+    sweeps ``s::length`` of each chain.  The constants are repeated across
+    segments, so of the operands only sigma2 broadcasts along a row.
     """
-    chains, total = two_gammas.shape
-    z = np.empty((chains, segments, const[0].shape[1]))
-    repeated = [z] + [np.repeat(a[:, None], segments, axis=1) for a in const]
-    steps = np.arange(length)
-    running = -(-(total - steps) // length)
-    burning = np.minimum(running, np.maximum(0, -(-(rows.burn_in - steps) // length)))
-    plan = np.column_stack([running, burning, rows.strided(steps, burning, length),
-                            rows.strided(burning * length + steps, running - burning, length)])
-    first_n = {n: [a[:, :n] for a in repeated] for n in set(running.tolist())}
+    chains = len(z)
+    repeated = [np.repeat(a[:, None], segments, axis=1) for a in const]
     sigma2 = np.ones((chains, segments, 1))
-    for s, step in enumerate(plan):
-        n, b, *where = step.tolist()
-        runs = [(lo, hi, *rows.view(*run))
-                for lo, hi, run in ((0, b, where[:4]), (b, n, where[4:])) if hi > lo]
-        for lo, hi, normals, _ in runs:
-            z[:, lo:hi] = normals
-        z_n, lam, c, *rest = first_n[n]
-        u = _u_given(sigma2[:, :n], z_n, lam, c)
+    for s in range(length):
+        normals = z[:, s::length]
+        n = normals.shape[1]
+        lam, c, *rest = (a[:, :n] for a in repeated)
+        u = _u_given(sigma2[:, :n], normals, lam, c)
         sigma2 = _sigma2_given(u, lam, *rest, two_gammas[:, s::length, None])
-        for lo, hi, _, record in runs:
-            record[...] = sigma2[:, lo:hi, 0]
+        s2[:, s::length] = sigma2[:, :, 0]
 
 
-def _repair(rows: _SweepRows, const, two_gammas, length: int, segments: int) -> None:
-    """Make the recorded sigma2 the sequential chain's.
+def _repair(z, s2, const, two_gammas, length: int, segments: int) -> None:
+    """Make the sigma2 recorded in ``s2`` the sequential chain's.
 
     Segment j >= 1 reruns from the recorded sigma2 at the end of segment
     j - 1, on the rows still moving, until the sigma2 it computes equals the
@@ -550,7 +446,7 @@ def _repair(rows: _SweepRows, const, two_gammas, length: int, segments: int) -> 
     chain = np.repeat(np.arange(chains), segments - 1)
     segment = np.tile(np.arange(1, segments), chains)
     while True:
-        start = rows.get(rows.s2, chain, segment * length - 1)
+        start = s2[chain, segment * length - 1]
         moved = ~_same(start, began[chain, segment])
         if not moved.any():
             return
@@ -558,11 +454,11 @@ def _repair(rows: _SweepRows, const, two_gammas, length: int, segments: int) -> 
         began[r, j] = sigma2
         t, stop = j * length, np.minimum(j * length + length, total)
         while r.size:
-            u = _u_given(sigma2[:, None], rows.get(rows.z, r, t), lam[r], c[r])
+            u = _u_given(sigma2[:, None], z[r, t], lam[r], c[r])
             sigma2 = _sigma2_given(u, lam[r], two_c[r], two_rate_xx[r], two_rate[r],
                                    two_gammas[r, t][:, None])[:, 0]
-            moving = ~_same(sigma2, rows.get(rows.s2, r, t))
-            rows.record(r[moving], t[moving], sigma2[moving])
+            moving = ~_same(sigma2, s2[r, t])
+            s2[r[moving], t[moving]] = sigma2[moving]
             t = t + 1
             moving &= t < stop
             r, t, stop, sigma2 = r[moving], t[moving], stop[moving], sigma2[moving]
@@ -577,7 +473,6 @@ def gibbs_sample(
     *,
     num_draws: int = 4000,
     burn_in: int = 1000,
-    thinning: int = 1,
     seeds,
 ) -> PosteriorBatch:
     """Sample the posterior of every dataset, one chain each, by two exact blocks.
@@ -591,6 +486,8 @@ def gibbs_sample(
     ``_eigenbasis`` on W'W, once per chain, so the precision of u | sigma2 is
     diag(lambda)/sigma2 + I for either prior family, and one sweep is O(p)
     elementwise work on c = V'W'x and x'x, regardless of the series length.
+    Each chain runs T = burn_in + num_draws sweeps and keeps every sweep
+    after the burn-in.
 
     Chain r draws its noise from its own generator ``seeds[r]``: T standard
     gammas, then T x (p + 1) standard normals, row t holding the p + 1
@@ -604,84 +501,85 @@ def gibbs_sample(
     before until it meets its own record bit for bit, which leaves the record
     the sequential chain's.  The update of sigma2 contracts by about p / n a
     sweep, so a pass of a dozen or so sweeps usually settles every segment;
-    at worst the repair costs the sequential chain.  Each retained u is then
+    at worst the repair costs the sequential chain.  Each kept u is then
     rebuilt from its normals and the sigma2 before it, the same operations on
     the same operands as in the loop, so the segments change no draw.
 
-    Per chain the batch holds one gamma and one row of p + 2 floats per
-    sweep: a sweep's normals and sigma2, drawn and recorded in place.  The
-    retained sweeps' rows are the block the draws are rotated into; the
-    other sweeps' rows are freed before the rotation.  Every step is
-    elementwise or a reduction along the chain's own row, so a chain's draws
-    are the same bits in any batch, and a chain whose W'W or draws go
-    non-finite becomes a ``NumericalFailure`` in ``chains`` without touching
-    the others.  The datasets must share p but may differ in length and
-    design.  ``chains[r].draws`` is chain r's slice of the batch's one block
-    of retained draws, rotated to theta in place, in blocks of
-    ``_NOISE_BLOCK`` rows.
+    Per chain the batch holds one gamma and p + 2 floats per sweep in one
+    buffer: the T x (p + 1) normals, drawn in place, then the T recorded
+    sigma2.  The draws are the last num_draws x (p + 2) floats of the chain's
+    part, rotated to theta in place, every chain's rows at once in blocks of
+    ``_ROTATION_ROWS`` rows from the last; a block starts past the normals of
+    every earlier sweep, so only the sigma2 are copied first.  Every step is elementwise or a reduction
+    along the chain's own row, so a chain's draws are the same bits in any
+    batch, and a chain whose W'W or draws go non-finite becomes a
+    ``NumericalFailure`` in ``chains`` without touching the others.  The
+    datasets must share p but may differ in length and design.
+    ``chains[r].draws`` is a view of that buffer.
     """
     datasets, seeds = list(datasets), list(seeds)
     if not datasets or len(seeds) != len(datasets):
         raise InvalidSpec("need at least one dataset and one seed per dataset")
     if num_draws < 1:
         raise InvalidSpec("need at least one retained draw")
-    if burn_in < 0 or thinning < 1:
-        raise InvalidSpec("burn_in must be >= 0 and thinning >= 1")
+    if burn_in < 0:
+        raise InvalidSpec("burn_in must be >= 0")
     widths = {data.design.z.shape[1] for data in datasets}
     if len(widths) != 1:
         raise InvalidSpec("the datasets of one batch must share the coefficient count")
     (width,) = widths
     p = width + 1  # theta = (rho, beta)
     chains = len(datasets)
-    total = burn_in + num_draws * thinning
+    total = burn_in + num_draws
 
     covariance = np.zeros((p, p))
     covariance[0, 0] = prior.rho_prior_sd**2
     covariance[1:, 1:] = prior.beta_covariance(width - 1)
-    bases = []
+    bases = np.empty((chains, p, p))
     lam, c = np.empty((2, chains, p))
     xx = np.empty((chains, 1))
-    rows = _SweepRows(chains, p, num_draws, burn_in, thinning)
+    rows = np.empty((chains, total * (p + 1)))
+    z, s2 = rows[:, :total * p].reshape(chains, total, p), rows[:, total * p:]
     two_gammas = np.empty((chains, total))
     for r, (data, seed) in enumerate(zip(datasets, seeds)):
         wtw, wtx, xx[r] = _regression_statistics(data)
-        basis, lam[r] = _eigenbasis(covariance, wtw)
-        bases.append(basis)
-        c[r] = basis.T @ wtx
+        bases[r], lam[r] = _eigenbasis(covariance, wtw)
+        c[r] = bases[r].T @ wtx
         rng = _rng(seed)
         rng.standard_gamma(prior.sigma2_shape + 0.5 * data.n_obs, out=two_gammas[r])
-        rows.draw(r, rng)
+        rng.standard_normal(out=z[r])
     del covariance, wtw, wtx
     two_gammas *= 2.0
     # constants enter the sweep as arrays: a Python-float operand costs numpy
     # more per call than the arithmetic on a few chains
     two_rate = np.full((chains, 1), 2.0 * prior.sigma2_rate)
     const = (lam, c, 2.0 * c, two_rate + xx, two_rate)
-    length, segments = _segments(total, thinning)
-    _step_segments(rows, const, two_gammas, length, segments)
-    _repair(rows, const, two_gammas, length, segments)
+    length = -(-total // -(-total // _NOISE_BLOCK))
+    segments = -(-total // length)
+    _step_segments(z, s2, const, two_gammas, length, segments)
+    _repair(z, s2, const, two_gammas, length, segments)
     del two_gammas
 
-    before = rows.sigma2_before_kept()
-    kept, z, sigma2 = rows.kept, rows.z[1], rows.s2[1]
-    del rows  # the other sweeps' rows are spent
-    # u, then theta = V u, a block at a time from the last: a chain's rows of
-    # (rho, sigma2, beta) overwrite its normals and then its sigma2, so no
-    # block overwrites normals still to be read
-    out = []
-    for basis, draws, z_r, sigma2_r, before_r, lam_r, c_r in zip(bases, kept, z, sigma2,
-                                                                before, lam, c):
-        sigma2_r = sigma2_r.copy()
-        for lo in reversed(range(0, num_draws, _NOISE_BLOCK)):
-            hi = min(lo + _NOISE_BLOCK, num_draws)
-            theta = _u_given(before_r[lo:hi, None], z_r[lo:hi], lam_r, c_r) @ basis.T
-            draws[lo:hi, 0] = theta[:, 0]
-            draws[lo:hi, 1] = sigma2_r[lo:hi]
-            draws[lo:hi, 2:] = theta[:, 1:]
-        if np.isfinite(draws).all():
-            out.append(PosteriorDraws(draws))
-        else:
-            out.append(NumericalFailure("the chain went non-finite"))
+    # sigma2[:, i] is the sigma2 kept sweep i starts from, sigma2[:, i + 1]
+    # the one it ends with; copied, since the draws overwrite s2
+    if burn_in:
+        sigma2 = s2[:, burn_in - 1:].copy()
+    else:
+        sigma2 = np.concatenate((np.ones((chains, 1)), s2), axis=1)
+    kept = rows[:, burn_in * (p + 1):].reshape(chains, num_draws, p + 1)
+    for lo in reversed(range(0, num_draws, _ROTATION_ROWS)):
+        hi = min(lo + _ROTATION_ROWS, num_draws)
+        u = _u_given(sigma2[:, lo:hi, None], z[:, burn_in + lo:burn_in + hi], lam[:, None],
+                     c[:, None])
+        theta = np.matmul(u, bases.transpose(0, 2, 1))  # one U V' per chain
+        kept[:, lo:hi, 0] = theta[..., 0]
+        kept[:, lo:hi, 1] = sigma2[:, lo + 1:hi + 1]
+        kept[:, lo:hi, 2:] = theta[..., 1:]
+        del u, theta  # so the next block's temporaries are not held beside these
+    # min and max are finite exactly when every draw is, and need no bool copy
+    finite = np.isfinite(kept.min(axis=(1, 2))) & np.isfinite(kept.max(axis=(1, 2)))
+    out = [PosteriorDraws(draws) if ok else NumericalFailure("the chain went non-finite")
+           for draws, ok in zip(kept, finite)]
     return PosteriorBatch(tuple(out), diagnostics={"sweeps": total})
 
 

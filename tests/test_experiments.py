@@ -35,6 +35,12 @@ class TestScenarioConfig:
         with pytest.raises(InvalidSpec):
             ScenarioConfig.from_dict({"bogus_knob": 1})
 
+    def test_configs_that_set_thinning_are_rejected(self, tiny_cfg):
+        # every sweep after the burn-in is kept; an old config's thinning is
+        # refused by name rather than ignored
+        with pytest.raises(InvalidSpec, match="thinning"):
+            ScenarioConfig.from_dict({**tiny_cfg.to_dict(), "thinning": 1})
+
     def test_unknown_prior_keys_rejected(self):
         with pytest.raises(InvalidSpec, match="familly"):
             ScenarioConfig.from_dict({"prior": {"familly": "gp_decay"}})
@@ -46,7 +52,7 @@ class TestScenarioConfig:
             ScenarioConfig(replicates=0)
 
     @pytest.mark.parametrize("field, value", [  # additive_cost: tests/test_decisions.py
-        ("num_draws", 0), ("burn_in", -1), ("thinning", 0), ("target_alpha", 0.0),
+        ("num_draws", 0), ("burn_in", -1), ("master_seed", -1), ("target_alpha", 0.0),
         ("target_alpha", 1.0), ("calibration_tolerance", 0.0), ("workers", -1),
         ("prior", "gp_decay"), ("n_grid", 250), ("n_grid", [250, 500.5]),
         ("active_indices", [1, "5"]), ("replicates", 2.5), ("num_draws", True),
@@ -120,8 +126,7 @@ class TestGroupFileOverride:
 
 def _budget_for_chains(cfg, chains):
     """A ``BATCH_FLOAT_BUDGET`` that fits ``chains`` chains of ``cfg`` per batch."""
-    return chains * _floats_per_chain(cfg.num_covariates + 1, cfg.num_draws, cfg.burn_in,
-                                      cfg.thinning)
+    return chains * _floats_per_chain(cfg.num_covariates + 1, cfg.num_draws, cfg.burn_in)
 
 
 class TestDeterminism:

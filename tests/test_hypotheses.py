@@ -38,6 +38,20 @@ class TestTestSpec:
         assert bare.num_hypotheses == 4
         assert bare.coefficient_hypothesis(2) == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_alternatives_are_the_absolute_value_comparisons(self, data, with_rho):
+        spec = TestSpec(num_covariates=3, null_radius=0.25, include_rho_test=with_rho)
+        entries = st.one_of(st.sampled_from([0.25, -0.25, 0.0, -0.0]), st.floats())
+        rows = data.draw(st.integers(1, 6))
+        beta = np.array(data.draw(st.lists(entries, min_size=4 * rows, max_size=4 * rows)))
+        beta = beta.reshape(rows, 4)
+        rho = np.array(data.draw(st.lists(entries, min_size=rows, max_size=rows)))
+        expected = np.abs(beta) > 0.25
+        if with_rho:
+            expected = np.column_stack((np.abs(rho) >= spec.rho_null_bound, expected))
+        assert np.array_equal(spec.alternatives(rho, beta), expected)
+
     def test_validation(self):
         with pytest.raises(InvalidSpec):
             TestSpec(num_covariates=0)

@@ -193,27 +193,28 @@ class TestGibbs:
         datasets = [simulate(params, generate_design(n, num_covariates, seed=n), n, seed=n)
                     for n in (30, 120, 75, 120, 31)]
         datasets[3] = simulate(params, datasets[1].design, 120, seed=7)  # shares a design
-        alone = [gibbs_sample([d], PriorConfig(), num_draws=50, burn_in=7, thinning=2, seeds=[i])
+        alone = [gibbs_sample([d], PriorConfig(), num_draws=50, burn_in=7, seeds=[i])
                  .chains[0].draws for i, d in enumerate(datasets)]
         for order in ([0, 1, 2, 3, 4], [4, 2, 0], [3, 1], [2, 4, 1, 0, 3]):
             batch = gibbs_sample([datasets[i] for i in order], PriorConfig(), num_draws=50,
-                                 burn_in=7, thinning=2, seeds=order)
-            assert batch.diagnostics == {"sweeps": 107}
+                                 burn_in=7, seeds=order)
+            assert batch.diagnostics == {"sweeps": 57}
             for i, chain in zip(order, batch.chains):
                 assert np.array_equal(chain.draws, alone[i]), (order, i)
 
-    # 107 sweeps in blocks of 3: edges inside the burn-in, one sweep short of its
-    # end, and on kept and skipped sweeps alike; the 2-sweep chain is shorter
+    # 57 sweeps in blocks of 3: edges inside the burn-in and one sweep short of
+    # its end; 100 draws (33 blocks of 3 and one row) leave a one-row block
+    # should the rotation follow the segment cuts; the 2-sweep chain is shorter
     # than one block
-    @pytest.mark.parametrize("burn_in,thinning,num_draws", [(7, 2, 50), (1, 1, 1)])
-    def test_noise_blocks_change_no_draw(self, monkeypatch, burn_in, thinning, num_draws):
+    @pytest.mark.parametrize("burn_in,num_draws", [(7, 50), (7, 100), (1, 1)])
+    def test_noise_blocks_change_no_draw(self, monkeypatch, burn_in, num_draws):
         params = Ar1Params(0.4, 1.0, np.array([0.0, 1.0, -0.5]))
         datasets = [simulate(params, generate_design(n, 2, seed=n), n, seed=n) for n in (30, 90)]
 
         def draws(block):
             monkeypatch.setattr(model_ar1, "_NOISE_BLOCK", block)
             batch = gibbs_sample(datasets, PriorConfig(), num_draws=num_draws, burn_in=burn_in,
-                                 thinning=thinning, seeds=[5, 6])
+                                 seeds=[5, 6])
             return [chain.draws.tobytes() for chain in batch.chains]
 
         assert draws(3) == draws(1000)
@@ -339,11 +340,10 @@ class TestGibbs:
             rho = chain.rho - chain.rho.mean()
             assert float(rho[1:] @ rho[:-1] / (rho @ rho)) < 0.1
 
-    def test_thinning_and_validation(self):
+    def test_validation(self):
         design = generate_design(50, 1, seed=0)
         data = simulate(Ar1Params(0.0, 1.0, np.zeros(2)), design, 50, seed=0)
-        draws = gibbs_sample([data], PriorConfig(), num_draws=10, burn_in=5, thinning=3,
-                             seeds=[0]).chains[0]
+        draws = gibbs_sample([data], PriorConfig(), num_draws=10, burn_in=5, seeds=[0]).chains[0]
         assert draws.num_draws == 10
         wider = simulate(Ar1Params(0.0, 1.0, np.zeros(3)), generate_design(50, 2, seed=0), 50, seed=0)
         with pytest.raises(InvalidSpec):
@@ -353,7 +353,7 @@ class TestGibbs:
         with pytest.raises(InvalidSpec):
             gibbs_sample([data], PriorConfig(), num_draws=0, seeds=[0])
         with pytest.raises(InvalidSpec):
-            gibbs_sample([data], PriorConfig(), num_draws=5, thinning=0, seeds=[0])
+            gibbs_sample([data], PriorConfig(), num_draws=5, burn_in=-1, seeds=[0])
 
     def test_non_psd_prior_covariance_is_reported(self):
         with pytest.raises(NumericalFailure):
@@ -366,8 +366,9 @@ class TestGibbs:
         design.ztz
         batch, peak = _traced_peak(gibbs_sample, datasets, PriorConfig(), num_draws=4000,
                                    seeds=[3, 4])
-        # retained draws, plus the burn-in's normals and sigma2, the gammas and
-        # the segment plan while sampling, or one block's u and U V' after
+        # every sweep's normals and sigma2 in one buffer that ends in the draws,
+        # plus the gammas while sampling, or the copied sigma2 and one block's
+        # u and U V' while rotating
         assert peak <= 1.35 * sum(chain.draws.nbytes for chain in batch.chains)
         assert batch.chains[0].draws.base is batch.chains[1].draws.base
 
