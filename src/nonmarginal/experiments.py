@@ -79,9 +79,8 @@ _STAGE_DESIGN = 0
 _STAGE_SIMULATE = 1
 _STAGE_GIBBS = 2
 
-# Floats that one sampling batch may hold at once (32 MiB): per chain each
-# sweep's normals, sigma2 and gamma, and a basis; a batch of more chains is
-# split.
+# Floats that one sampling batch may hold at once (32 MiB): per chain its
+# draws, a sigma2 per draw and a basis; a batch of more chains is split.
 BATCH_FLOAT_BUDGET = 2**22
 
 # a replicate, its decision, and then its (fdp, fnp, posterior report) row
@@ -144,7 +143,7 @@ class ScenarioConfig:
     calibration_max_iterations: int = 30
     replicates: int = 200
     num_draws: int = 4000
-    burn_in: int = 1000
+    burn_in: int = 1000  # checked, but unread: the sampler needs no burn-in
     master_seed: int = 20260809
     workers: int = 0  # 0 = all usable cores
 
@@ -323,7 +322,7 @@ def _sample_batch(args) -> list[ReplicatePosterior | ReplicateFailure]:
         seeds = [seed_for(cfg.master_seed, n, rid, _STAGE_GIBBS) for n, rid in simulated]
         try:
             chains = gibbs_sample(datasets, cfg.prior, num_draws=cfg.num_draws,
-                                  burn_in=cfg.burn_in, seeds=seeds).chains
+                                  seeds=seeds).chains
         except Exception as exc:  # noqa: BLE001 - reported once per replicate of the batch
             chains = [exc] * len(simulated)
         for (n, rid), draws in zip(simulated, chains):
@@ -343,15 +342,14 @@ def _sample_batch(args) -> list[ReplicatePosterior | ReplicateFailure]:
 
 def _batches(cfg: ScenarioConfig, designs: dict, jobs: list) -> list[list]:
     """Split jobs into contiguous batches of one design width each, every
-    batch holding at most ``BATCH_FLOAT_BUDGET`` floats of sweep rows (each
-    sweep's normals and sigma2, which the draws overwrite), gammas and
+    batch holding at most ``BATCH_FLOAT_BUDGET`` floats of draws, sigma2 and
     bases."""
     by_width: dict[int, list] = {}
     for job in jobs:
         by_width.setdefault(designs[job[0]].z.shape[1], []).append(job)
     batches = []
     for width, group in by_width.items():
-        fits = BATCH_FLOAT_BUDGET // _floats_per_chain(width, cfg.num_draws, cfg.burn_in)
+        fits = BATCH_FLOAT_BUDGET // _floats_per_chain(width, cfg.num_draws)
         count = math.ceil(len(group) / max(1, fits))
         bounds = [len(group) * i // count for i in range(count + 1)]
         batches += [group[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

@@ -1,7 +1,7 @@
 """AR(1) regression with time-varying covariates.
 
 Covers truth simulation, the two prior families for the coefficient vector,
-two-block Gibbs sampling of the posterior, the log likelihood ratio between
+exact independent draws from the posterior, the log likelihood ratio between
 two parameter points, the Kullback-Leibler divergence rate in closed form,
 and the error exponent that governs how fast posterior error rates vanish
 with the sample size.
@@ -15,13 +15,10 @@ past it is a linear regression of ``x`` on ``W = [x_lag, Z]`` with
 coefficient ``theta = (rho, beta)``; the sampler and the likelihood ratio
 both read its statistics ``W'W``, ``W'x`` and ``x'x``.
 
-The sampler runs each chain's sweeps as segments side by side, every one
-started from the chain's own start, and then repairs each segment from the
-end of the one before until its sigma2 meets what it recorded.  Only sigma2
-carries state from one sweep to the next, so from that sweep on the record is
-the sequential chain's, and the draws are the sequential chain's bit for bit.
-While sampling, a chain holds each sweep's normals and sigma2 in one buffer,
-which its draws then overwrite, and its gammas.
+The sampler draws sigma2 from its one-dimensional marginal posterior, by
+inverse CDF on a grid in log sigma2, and then theta | sigma2, which is
+Gaussian and diagonal in an eigenbasis computed once per chain.  No draw
+depends on another, so there are no sweeps and no burn-in.
 """
 
 from __future__ import annotations
@@ -40,12 +37,12 @@ from .exceptions import InfeasibleDesign, InvalidSpec, NumericalFailure
 from .hypotheses import TestSpec
 
 _KERNEL_JITTER = 1e-8
-# most sweeps in one segment of a Gibbs chain
-_NOISE_BLOCK = 512
-# rows of every chain's draws rotated to theta at once: the draws' bits depend
-# on it through the U V' product, and its temporaries come on top of the
-# burn-in's rows, which are held while it runs
-_ROTATION_ROWS = 64
+# nodes of each chain's inverse-CDF grid in log sigma2
+_SIGMA2_NODES = 512
+# each chain's grid spans the log sigma2 whose log density is within this many nats of its mode's
+_WINDOW_NATS = 40.0
+# rows of every chain's draws made at once: the draws' bits depend on it through the U V' product
+_BLOCK_ROWS = 256
 # log Φ(-3) and the log mass of N(0, 1) on [-3, 3], as scipy.stats.truncnorm has them
 _LOG_CDF_LOWER = special.log_ndtr(-3.0)
 _LOG_MASS = special.log1p(-special.ndtr(-3.0) - special.ndtr(-3.0))
@@ -264,7 +261,7 @@ class PosteriorBatch:
 
     ``chains[r]`` holds the draws of dataset r, or the ``NumericalFailure`` of
     a chain that went non-finite.  ``diagnostics["sweeps"]`` is the number of
-    sweeps every chain ran.
+    draws of every chain.
     """
 
     chains: tuple
@@ -346,7 +343,7 @@ def simulate(params: Ar1Params, design: CovariateDesign, n: int, seed=0) -> Data
 
 
 # ---------------------------------------------------------------------------
-# Gibbs sampling
+# posterior sampling
 # ---------------------------------------------------------------------------
 
 def _regression_statistics(data: Dataset) -> tuple[np.ndarray, np.ndarray, float]:
@@ -381,87 +378,115 @@ def _eigenbasis(covariance: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, n
     return chol @ w, lam
 
 
-def _floats_per_chain(width: int, num_draws: int, burn_in: int) -> int:
-    """Floats ``gibbs_sample`` holds per chain: p + 2 floats per sweep (its
-    normals and sigma2, which the kept sweeps' draws overwrite), a gamma per
-    sweep and the (p + 1)^2 basis, for p = ``width``."""
-    return (burn_in + num_draws) * (width + 3) + (width + 1) ** 2
+def _floats_per_chain(width: int, num_draws: int) -> int:
+    """Floats ``gibbs_sample`` holds per chain: its num_draws x (width + 2)
+    draws, a sigma2 per draw and the (p + 1)^2 basis, for p = ``width``."""
+    return num_draws * (width + 3) + (width + 1) ** 2
 
 
-def _u_given(sigma2, z, lam, c):
-    """u | sigma2 = c / q + z sqrt(sigma2 / q), q = lambda + sigma2: its
-    precision is q / sigma2 per coordinate.  ``lam + sigma2`` has u's shape."""
-    q = lam + sigma2
-    noise = sigma2 / q
-    np.sqrt(noise, out=noise)
-    noise *= z
-    np.divide(c, q, out=q)
-    return np.add(q, noise, out=q)
+def _chain_terms(datasets, prior: PriorConfig):
+    """Per chain: the basis V (chains, p, p) and lambda of ``_eigenbasis`` on
+    W'W under the prior covariance of theta, c = V'W'x, a + n/2 and b + x'x/2."""
+    p = datasets[0].design.z.shape[1] + 1
+    covariance = np.zeros((p, p))
+    covariance[0, 0] = prior.rho_prior_sd**2
+    covariance[1:, 1:] = prior.beta_covariance(p - 2)
+    bases = np.empty((len(datasets), p, p))
+    lam, c = np.empty((2, len(datasets), p))
+    a_n, b_xx = np.empty((2, len(datasets)))
+    for r, data in enumerate(datasets):
+        wtw, wtx, xx = _regression_statistics(data)
+        bases[r], lam[r] = _eigenbasis(covariance, wtw)
+        c[r] = bases[r].T @ wtx
+        a_n[r] = prior.sigma2_shape + 0.5 * data.n_obs
+        b_xx[r] = prior.sigma2_rate + 0.5 * xx
+    return bases, lam, c, a_n, b_xx
 
 
-def _sigma2_given(u, lam, two_c, two_rate_xx, two_rate, two_gamma):
-    """sigma2 | u = (2 rate + max(ssr, 0)) / (2 gamma), where
-    ssr = |x - W V u|^2 = x'x + sum u (lambda u - 2c), summed along each row."""
-    ssr_less_xx = np.add.reduce(u * (lam * u - two_c), axis=-1, keepdims=True)
-    return np.maximum(two_rate_xx + ssr_less_xx, two_rate) / two_gamma
+def _log_density(s, lam, c2, a_n, b_xx):
+    """log p(log sigma2 = s | x) up to a constant, at s of shape (chains, k):
 
+        -(a + n/2) s - (b + x'x/2) e^-s - sum log1p(lambda e^-s) / 2
+                     + e^-s sum c^2 / (lambda + e^s) / 2,
 
-def _same(a, b):
-    """a == b elementwise, with NaN equal to NaN, so a chain gone non-finite settles."""
-    return (a == b) | (np.isnan(a) & np.isnan(b))
-
-
-def _step_segments(z, s2, const, two_gammas, length: int, segments: int) -> None:
-    """Step the segments of every chain side by side, each from sigma2 = 1,
-    and record in ``s2`` the sigma2 each sweep ends with.
-
-    Step s runs sweep j * length + s of every segment j still running: the
-    sweeps ``s::length`` of each chain.  The constants are repeated across
-    segments, so of the operands only sigma2 broadcasts along a row.
+    for the inverse-gamma prior (a, b) and N(x; 0, sigma2 I + W C W'), C the
+    prior covariance of theta: in the eigenbasis det(I + W C W' / sigma2) is
+    prod(1 + lambda / sigma2) and the quadratic form is
+    (x'x - sum c^2 / (lambda + sigma2)) / sigma2.  ``lam`` and ``c2`` are
+    (chains, p); ``a_n`` = a + n/2 and ``b_xx`` = b + x'x/2 are (chains,).
     """
-    chains = len(z)
-    repeated = [np.repeat(a[:, None], segments, axis=1) for a in const]
-    sigma2 = np.ones((chains, segments, 1))
-    for s in range(length):
-        normals = z[:, s::length]
-        n = normals.shape[1]
-        lam, c, *rest = (a[:, :n] for a in repeated)
-        u = _u_given(sigma2[:, :n], normals, lam, c)
-        sigma2 = _sigma2_given(u, lam, *rest, two_gammas[:, s::length, None])
-        s2[:, s::length] = sigma2[:, :, 0]
+    lam = lam[:, None]
+    e = np.exp(-s)
+    det = np.log1p(lam * e[..., None]).sum(axis=-1)
+    fit = (c2[:, None] / (lam + np.exp(s)[..., None])).sum(axis=-1)
+    return -a_n[:, None] * s - (b_xx[:, None] - 0.5 * fit) * e - 0.5 * det
 
 
-def _repair(z, s2, const, two_gammas, length: int, segments: int) -> None:
-    """Make the sigma2 recorded in ``s2`` the sequential chain's.
+def _mode(lam, c2, a_n, b_xx, rate: float):
+    """The s = log sigma2 where each chain's ``_log_density`` peaks, and its
+    curvature there.
 
-    Segment j >= 1 reruns from the recorded sigma2 at the end of segment
-    j - 1, on the rows still moving, until the sigma2 it computes equals the
-    record: from that sweep on the record follows from its start.  A segment
-    that reaches its end first changes the next one's start, so the passes
-    repeat until no start changes.  Segment j is settled after j passes.
+    The slope is positive below log(b / (a + n/2)) and negative above
+    log((b + x'x/2 + sum lambda / 2) / (a + n/2)), so Newton's method runs
+    inside that bracket from the inverse-gamma mode log((b + x'x/2) / (a + n/2)),
+    bisecting where a step would leave it, until a step is under 1e-3 of the
+    curvature's standard deviation.  A chain stops on its own test, so its
+    mode is the same bits in any batch.
     """
-    lam, c, two_c, two_rate_xx, two_rate = const
-    chains, total = two_gammas.shape
-    began = np.ones((chains, segments))  # the start each segment last ran from
-    chain = np.repeat(np.arange(chains), segments - 1)
-    segment = np.tile(np.arange(1, segments), chains)
-    while True:
-        start = s2[chain, segment * length - 1]
-        moved = ~_same(start, began[chain, segment])
-        if not moved.any():
-            return
-        r, j, sigma2 = chain[moved], segment[moved], start[moved]
-        began[r, j] = sigma2
-        t, stop = j * length, np.minimum(j * length + length, total)
-        while r.size:
-            u = _u_given(sigma2[:, None], z[r, t], lam[r], c[r])
-            sigma2 = _sigma2_given(u, lam[r], two_c[r], two_rate_xx[r], two_rate[r],
-                                   two_gammas[r, t][:, None])[:, 0]
-            moving = ~_same(sigma2, s2[r, t])
-            s2[r[moving], t[moving]] = sigma2[moving]
-            t = t + 1
-            moving &= t < stop
-            r, t, stop, sigma2 = r[moving], t[moving], stop[moving], sigma2[moving]
+    lo = np.log(rate / a_n)
+    hi = np.log((b_xx + 0.5 * np.maximum(lam, 0.0).sum(axis=-1)) / a_n)
+    s = np.log(b_xx / a_n)
+    curvature = np.full_like(s, np.nan)
+    active = np.arange(len(s))
+    for _ in range(200):  # bisection alone shrinks the bracket 2^-200
+        t = np.exp(s[active])[:, None]
+        la, c2a, q = lam[active], c2[active], lam[active] + t
+        fit = b_xx[active] - 0.5 * (c2a * (la + 2.0 * t) / q**2).sum(axis=-1)
+        slope = -a_n[active] + 0.5 * (la / q).sum(axis=-1) + fit / t[:, 0]
+        curv = (0.5 * (la * t / q**2).sum(axis=-1) + b_xx[active] / t[:, 0]
+                - 0.5 * (c2a * (la**2 + 3.0 * la * t + 4.0 * t**2) / (t * q**3)).sum(axis=-1))
+        curvature[active] = curv
+        moving = np.abs(slope) > 1e-3 * np.sqrt(np.abs(curv))  # NaN stops
+        active, slope, curv = active[moving], slope[moving], curv[moving]
+        if not active.size:
+            break
+        rising = slope > 0
+        lo[active[rising]] = s[active[rising]]
+        hi[active[~rising]] = s[active[~rising]]
+        step = s[active] + slope / curv
+        inside = (curv > 0) & (step > lo[active]) & (step < hi[active])
+        s[active] = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
+    return s, curvature
+
+
+def _sigma2_grid(lam, c2, a_n, b_xx, rate: float):
+    """Each chain's inverse-CDF grid for s = log sigma2: ``_SIGMA2_NODES``
+    evenly spaced nodes and the CDF at them, both (chains, nodes).
+
+    The grid spans the chain's own window around its mode, where the log
+    density is within ``_WINDOW_NATS`` of the mode's: each edge starts
+    sqrt(2 nats / curvature) away and moves out by a quarter until the
+    density there is that far down, so a tail heavier than the Gaussian's
+    still fits.  The CDF is the trapezoid rule, exact at the nodes for a
+    density linear between them.
+    """
+    mode, curvature = _mode(lam, c2, a_n, b_xx, rate)
+    top = _log_density(mode[:, None], lam, c2, a_n, b_xx)
+    half = np.where(curvature > 0, np.sqrt(2.0 * _WINDOW_NATS / curvature), 1.0)
+    edges = np.stack((-half, half), axis=1)
+    for _ in range(200):  # 1.25^200 of the first width
+        short = _log_density(mode[:, None] + edges, lam, c2, a_n, b_xx) > top - _WINDOW_NATS
+        if not short.any():
+            break
+        edges[short] *= 1.25
+    nodes = mode[:, None] + edges[:, :1] + (edges[:, 1:] - edges[:, :1]) * np.linspace(
+        0.0, 1.0, _SIGMA2_NODES)
+    density = _log_density(nodes, lam, c2, a_n, b_xx)
+    density = np.exp(density - density.max(axis=1, keepdims=True))
+    cdf = np.zeros_like(density)
+    np.cumsum(density[:, 1:] + density[:, :-1], axis=1, out=cdf[:, 1:])
+    cdf /= cdf[:, -1:]
+    return nodes, cdf
 
 
 # a chain that overflows becomes a NumericalFailure of its own; the others never see it
@@ -472,115 +497,85 @@ def gibbs_sample(
     prior: PriorConfig,
     *,
     num_draws: int = 4000,
-    burn_in: int = 1000,
     seeds,
 ) -> PosteriorBatch:
-    """Sample the posterior of every dataset, one chain each, by two exact blocks.
+    """Sample the posterior of every dataset, one chain each, by exact independent draws.
 
     Given sigma2 the model is a Gaussian regression of x on W = [x_lag, Z]
     with coefficient theta = (rho, beta) and prior covariance
-    blockdiag(rho_prior_sd^2, Sigma0), so theta | sigma2 is drawn in one block,
-    and sigma2 | theta is inverse-gamma.  Both conditionals are exact, so
-    there is no step-size tuning, and rho and beta never wait on each other
-    however x_lag correlates with the columns of Z.  theta = V u with V from
-    ``_eigenbasis`` on W'W, once per chain, so the precision of u | sigma2 is
-    diag(lambda)/sigma2 + I for either prior family, and one sweep is O(p)
-    elementwise work on c = V'W'x and x'x, regardless of the series length.
-    Each chain runs T = burn_in + num_draws sweeps and keeps every sweep
-    after the burn-in.
+    C = blockdiag(rho_prior_sd^2, Sigma0).  With V and lambda from
+    ``_eigenbasis`` on W'W, once per chain, theta = V u and c = V'W'x, each
+    u_k | sigma2, x ~ N(c_k / q_k, sigma2 / q_k) independently, with
+    q_k = lambda_k + sigma2, for either prior family.  sigma2 | x has the
+    one-dimensional density of ``_log_density``, so every draw is a sigma2
+    from that law by inverse CDF on the chain's ``_sigma2_grid`` and then
+    (rho, beta) | sigma2: a partially collapsed Gibbs sampler (van Dyk and
+    Park, 2008) whose draws are independent, with no burn-in, and with an
+    effective sample size equal to the draw count.
 
-    Chain r draws its noise from its own generator ``seeds[r]``: T standard
-    gammas, then T x (p + 1) standard normals, row t holding the p + 1
-    normals of u at sweep t.  Only sigma2 carries one sweep into the next,
-    and a sweep is the same elementwise function of (sigma2, normals, gamma)
-    wherever it runs.  So each chain's T sweeps are cut into segments of at
-    most ``_NOISE_BLOCK`` sweeps, all started from sigma2 = 1, the chain's
-    own start, and the segments of every chain step side by side as the rows
-    of (R, segments, p + 1) arrays; segment 0 is then exact.  ``_repair``
-    reruns each later segment from the recorded sigma2 at the end of the one
-    before until it meets its own record bit for bit, which leaves the record
-    the sequential chain's.  The update of sigma2 contracts by about p / n a
-    sweep, so a pass of a dozen or so sweeps usually settles every segment;
-    at worst the repair costs the sequential chain.  Each kept u is then
-    rebuilt from its normals and the sigma2 before it, the same operations on
-    the same operands as in the loop, so the segments change no draw.
-
-    Per chain the batch holds one gamma and p + 2 floats per sweep in one
-    buffer: the T x (p + 1) normals, drawn in place, then the T recorded
-    sigma2.  The draws are the last num_draws x (p + 2) floats of the chain's
-    part, rotated to theta in place, every chain's rows at once in blocks of
-    ``_ROTATION_ROWS`` rows from the last; a block starts past the normals of
-    every earlier sweep, so only the sigma2 are copied first.  Every step is elementwise or a reduction
-    along the chain's own row, so a chain's draws are the same bits in any
-    batch, and a chain whose W'W or draws go non-finite becomes a
-    ``NumericalFailure`` in ``chains`` without touching the others.  The
-    datasets must share p but may differ in length and design.
-    ``chains[r].draws`` is a view of that buffer.
+    Chain r draws its noise from its own generator ``seeds[r]``: num_draws
+    uniforms for sigma2, then num_draws x (p + 1) standard normals, row i
+    holding the p + 1 normals of u at draw i.  The normals come in blocks of
+    ``_BLOCK_ROWS`` rows of every chain at once; each block becomes u and is
+    rotated to theta by U V' straight into the draws, with column 1 of the
+    rotation zero so that sigma2 can be written there.  The batch holds the
+    draws in one buffer, (chains, num_draws, p + 2), and each chain's
+    ``chains[r].draws`` is a view of it; nothing else outlives the call.
+    Every step is elementwise or a reduction along the chain's own row, and a
+    chain's Newton iterations stop on its own test, so a chain's draws are
+    the same bits in any batch, and a chain whose W'W or draws go non-finite
+    becomes a ``NumericalFailure`` in ``chains`` without touching the others.
+    The datasets must share p but may differ in length and design.
     """
     datasets, seeds = list(datasets), list(seeds)
     if not datasets or len(seeds) != len(datasets):
         raise InvalidSpec("need at least one dataset and one seed per dataset")
     if num_draws < 1:
         raise InvalidSpec("need at least one retained draw")
-    if burn_in < 0:
-        raise InvalidSpec("burn_in must be >= 0")
     widths = {data.design.z.shape[1] for data in datasets}
     if len(widths) != 1:
         raise InvalidSpec("the datasets of one batch must share the coefficient count")
     (width,) = widths
     p = width + 1  # theta = (rho, beta)
     chains = len(datasets)
-    total = burn_in + num_draws
 
-    covariance = np.zeros((p, p))
-    covariance[0, 0] = prior.rho_prior_sd**2
-    covariance[1:, 1:] = prior.beta_covariance(width - 1)
-    bases = np.empty((chains, p, p))
-    lam, c = np.empty((2, chains, p))
-    xx = np.empty((chains, 1))
-    rows = np.empty((chains, total * (p + 1)))
-    z, s2 = rows[:, :total * p].reshape(chains, total, p), rows[:, total * p:]
-    two_gammas = np.empty((chains, total))
-    for r, (data, seed) in enumerate(zip(datasets, seeds)):
-        wtw, wtx, xx[r] = _regression_statistics(data)
-        bases[r], lam[r] = _eigenbasis(covariance, wtw)
-        c[r] = bases[r].T @ wtx
-        rng = _rng(seed)
-        rng.standard_gamma(prior.sigma2_shape + 0.5 * data.n_obs, out=two_gammas[r])
-        rng.standard_normal(out=z[r])
-    del covariance, wtw, wtx
-    two_gammas *= 2.0
-    # constants enter the sweep as arrays: a Python-float operand costs numpy
-    # more per call than the arithmetic on a few chains
-    two_rate = np.full((chains, 1), 2.0 * prior.sigma2_rate)
-    const = (lam, c, 2.0 * c, two_rate + xx, two_rate)
-    length = -(-total // -(-total // _NOISE_BLOCK))
-    segments = -(-total // length)
-    _step_segments(z, s2, const, two_gammas, length, segments)
-    _repair(z, s2, const, two_gammas, length, segments)
-    del two_gammas
+    bases, lam, c, a_n, b_xx = _chain_terms(datasets, prior)
+    rotation = np.zeros((chains, p, p + 1))  # V' with a zero column 1 for sigma2
+    rotation[:, :, [0, *range(2, p + 1)]] = bases.transpose(0, 2, 1)
+    del bases
+    nodes, cdf = _sigma2_grid(lam, c**2, a_n, b_xx, prior.sigma2_rate)
+    rngs = [_rng(seed) for seed in seeds]
+    sigma2 = np.empty((chains, num_draws))
+    for r, rng in enumerate(rngs):
+        np.exp(np.interp(rng.random(num_draws), cdf[r], nodes[r]), out=sigma2[r])
+    del nodes, cdf
 
-    # sigma2[:, i] is the sigma2 kept sweep i starts from, sigma2[:, i + 1]
-    # the one it ends with; copied, since the draws overwrite s2
-    if burn_in:
-        sigma2 = s2[:, burn_in - 1:].copy()
-    else:
-        sigma2 = np.concatenate((np.ones((chains, 1)), s2), axis=1)
-    kept = rows[:, burn_in * (p + 1):].reshape(chains, num_draws, p + 1)
-    for lo in reversed(range(0, num_draws, _ROTATION_ROWS)):
-        hi = min(lo + _ROTATION_ROWS, num_draws)
-        u = _u_given(sigma2[:, lo:hi, None], z[:, burn_in + lo:burn_in + hi], lam[:, None],
-                     c[:, None])
-        theta = np.matmul(u, bases.transpose(0, 2, 1))  # one U V' per chain
-        kept[:, lo:hi, 0] = theta[..., 0]
-        kept[:, lo:hi, 1] = sigma2[:, lo + 1:hi + 1]
-        kept[:, lo:hi, 2:] = theta[..., 1:]
-        del u, theta  # so the next block's temporaries are not held beside these
+    draws = np.empty((chains, num_draws, p + 1))
+    rows = min(_BLOCK_ROWS, num_draws)
+    z, q, noise = np.empty((3, chains, rows, p))
+    lam, c = lam[:, None], c[:, None]
+    for lo in range(0, num_draws, rows):
+        hi = min(lo + rows, num_draws)
+        zb, qb, nb, s2 = z[:, :hi - lo], q[:, :hi - lo], noise[:, :hi - lo], sigma2[:, lo:hi, None]
+        for r, rng in enumerate(rngs):
+            rng.standard_normal(out=z[r, :hi - lo])
+        # u = c / q + z sqrt(sigma2 / q), q = lambda + sigma2, with at most one
+        # broadcast operand per ufunc: numpy buffers each one beside its result
+        qb[...] = lam
+        qb += s2
+        np.divide(s2, qb, out=nb)
+        np.sqrt(nb, out=nb)
+        zb *= nb
+        np.divide(c, qb, out=qb)
+        zb += qb
+        np.matmul(zb, rotation, out=draws[:, lo:hi])
+        draws[:, lo:hi, 1] = sigma2[:, lo:hi]
+    del z, q, noise, sigma2
     # min and max are finite exactly when every draw is, and need no bool copy
-    finite = np.isfinite(kept.min(axis=(1, 2))) & np.isfinite(kept.max(axis=(1, 2)))
-    out = [PosteriorDraws(draws) if ok else NumericalFailure("the chain went non-finite")
-           for draws, ok in zip(kept, finite)]
-    return PosteriorBatch(tuple(out), diagnostics={"sweeps": total})
+    finite = np.isfinite(draws.min(axis=(1, 2))) & np.isfinite(draws.max(axis=(1, 2)))
+    out = [PosteriorDraws(chain) if ok else NumericalFailure("the chain went non-finite")
+           for chain, ok in zip(draws, finite)]
+    return PosteriorBatch(tuple(out), diagnostics={"sweeps": num_draws})
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def draws_path(tmp_path, tiny_cfg):
     design = generate_design(60, tiny_cfg.num_covariates, seed=1)
     params = tiny_cfg.params_for(tiny_cfg.num_covariates)
     data = simulate(params, design, 60, seed=2)
-    draws = gibbs_sample([data], PriorConfig(), num_draws=60, burn_in=30, seeds=[3]).chains[0]
+    draws = gibbs_sample([data], PriorConfig(), num_draws=60, seeds=[3]).chains[0]
     path = tmp_path / "draws.csv"
     np.savetxt(path, draws.draws, delimiter=",", header="rho,sigma2,beta0,beta1,beta2,beta3",
                comments="", fmt="%.17g")

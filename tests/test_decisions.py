@@ -538,7 +538,7 @@ class TestAllEncompassingGroups:
         spec = TestSpec(num_covariates=m)
         params = Ar1Params(0.5, 1.0, np.array([0.0, 1.5, 0.0, -1.5]))
         data = simulate(params, design, n, seed=9)
-        draws = gibbs_sample([data], PriorConfig(), num_draws=1200, burn_in=300, seeds=[10]).chains[0]
+        draws = gibbs_sample([data], PriorConfig(), num_draws=1200, seeds=[10]).chains[0]
         ind = alternative_indicators(draws, spec)
         h = spec.num_hypotheses
         groups = GroupStructure(tuple(frozenset(range(h)) for _ in range(h)))

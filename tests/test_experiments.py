@@ -126,7 +126,7 @@ class TestGroupFileOverride:
 
 def _budget_for_chains(cfg, chains):
     """A ``BATCH_FLOAT_BUDGET`` that fits ``chains`` chains of ``cfg`` per batch."""
-    return chains * _floats_per_chain(cfg.num_covariates + 1, cfg.num_draws, cfg.burn_in)
+    return chains * _floats_per_chain(cfg.num_covariates + 1, cfg.num_draws)
 
 
 class TestDeterminism:
