@@ -2,7 +2,7 @@
 
 Covers truth simulation, the two prior families for the coefficient vector,
 exact independent draws from the posterior, the log likelihood ratio between
-two parameter points, the Kullback-Leibler divergence rate in closed form,
+two parameter points, the exact Kullback-Leibler divergence rate at each n,
 and the error exponent that governs how fast posterior error rates vanish
 with the sample size.
 
@@ -13,7 +13,9 @@ The observation model is
 with ``z_t`` the ``t``-th design row (column 0 identically one).  Given the
 past it is a linear regression of ``x`` on ``W = [x_lag, Z]`` with
 coefficient ``theta = (rho, beta)``; the sampler and the likelihood ratio
-both read its statistics ``W'W``, ``W'x`` and ``x'x``.
+both read its statistics ``W'W``, ``W'x`` and ``x'x``, and the divergence
+rate and the error exponent read ``H_n = E0[W'W] / n``, with rho as
+coordinate 0 of theta.
 
 The sampler draws sigma2 from its one-dimensional marginal posterior, by
 inverse CDF on a grid in log sigma2, and then theta | sigma2, which is
@@ -132,10 +134,6 @@ class CovariateDesign:
             ztz = self.z.T @ self.z
         ztz.setflags(write=False)
         return ztz
-
-    def gram(self) -> np.ndarray:
-        """(Z'Z)/n, the per-observation Gram matrix."""
-        return self.ztz / self.n_obs
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,28 +333,38 @@ def simulate(params: Ar1Params, design: CovariateDesign, n: int, seed=0) -> Data
         raise InvalidSpec("coefficient vector and design width disagree")
     rng = _rng(seed)
     drive = design.z @ params.beta + rng.normal(0.0, math.sqrt(params.sigma2), size=n)
+    return Dataset(x=_ar_filter(drive, params.rho), design=design, seed=_seed_payload(seed))
+
+
+def _ar_filter(drive: np.ndarray, rho: float) -> np.ndarray:
+    """x_t = drive_t + rho x_{t-1} from x_0 = 0, one float step at a time."""
     x, prev = [], 0.0
-    for value in drive.tolist():  # x_t = drive_t + rho x_{t-1}, x_0 = 0
-        prev = value + params.rho * prev
+    for value in drive.tolist():
+        prev = value + rho * prev
         x.append(prev)
-    return Dataset(x=np.array(x), design=design, seed=_seed_payload(seed))
+    return np.array(x)
 
 
 # ---------------------------------------------------------------------------
 # posterior sampling
 # ---------------------------------------------------------------------------
 
+def _lagged_gram(design: CovariateDesign, lag: np.ndarray, lag_square: float) -> np.ndarray:
+    """W'W for W = [lag, Z], with ``lag_square`` for lag'lag and the design's own Z'Z."""
+    p = design.z.shape[1] + 1
+    gram = np.empty((p, p))
+    gram[0, 0] = lag_square
+    gram[0, 1:] = gram[1:, 0] = design.z.T @ lag
+    gram[1:, 1:] = design.ztz
+    return gram
+
+
 def _regression_statistics(data: Dataset) -> tuple[np.ndarray, np.ndarray, float]:
     """W'W, W'x and x'x of the regression of x on W = [x_lag, Z]: all the data
-    the likelihood sees.  The Z'Z block is the design's own."""
+    the likelihood sees."""
     z, x, xl = data.design.z, data.x, data.lagged()
-    p = z.shape[1] + 1
-    wtw = np.empty((p, p))
-    wtw[0, 0] = xl @ xl
-    wtw[0, 1:] = wtw[1:, 0] = z.T @ xl
-    wtw[1:, 1:] = data.design.ztz
     wtx = np.concatenate(([xl @ x], z.T @ x))
-    return wtw, wtx, float(x @ x)
+    return _lagged_gram(data.design, xl, xl @ xl), wtx, float(x @ x)
 
 
 def _eigenbasis(covariance: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -607,37 +615,42 @@ def log_likelihood_ratio(theta: Ar1Params, theta0: Ar1Params, data: Dataset) -> 
     return -neg
 
 
-def _long_run_variance(theta0: Ar1Params, gram: np.ndarray) -> float:
-    """V = (sigma0^2 + b0'G b0) / (1 - rho0^2), the long-run second moment of
-    the series theta0 generates on a design of Gram matrix G."""
-    if abs(theta0.rho) >= 1.0:
-        raise InvalidSpec("the long-run variance needs a stationary truth, |rho0| < 1")
-    beta0 = theta0.beta
-    return (theta0.sigma2 + float(beta0 @ gram @ beta0)) / (1.0 - theta0.rho**2)
+@np.errstate(over="ignore", invalid="ignore")
+@one_blas_thread()
+def _expected_gram(theta0: Ar1Params, design: CovariateDesign) -> np.ndarray:
+    """H_n = E0[W'W] / n for W = [x_lag, Z] under theta0, exactly at n.
+
+    With mu = E0 x, the AR filter of Z beta0, the cross block is Z'mu_lag and
+    the rho-rho entry is mu_lag'mu_lag + sum_t Var x_(t-1).  Any rho0 will do,
+    but a truth so explosive that H_n overflows is an ``InvalidSpec``.
+    """
+    n = design.n_obs
+    mu_lag = np.concatenate(([0.0], _ar_filter(design.z[:-1] @ theta0.beta, theta0.rho)))
+    # sum_t Var x_(t-1) = sigma0^2 sum_j (n - 1 - j) rho0^(2j) over j = 0..n-2
+    powers = np.cumprod(np.full(n - 1, theta0.rho**2))
+    variance_sum = theta0.sigma2 * (n - 1 + float(np.arange(n - 2, 0, -1) @ powers[:-1]))
+    gram = _lagged_gram(design, mu_lag, mu_lag @ mu_lag + variance_sum) / n
+    if not np.isfinite(gram).all():
+        raise InvalidSpec(f"E0[W'W] / n is not finite for rho0 = {theta0.rho} at n = {n}")
+    return gram
 
 
 def kl_divergence_rate(theta: Ar1Params, theta0: Ar1Params, design: CovariateDesign) -> float:
     """Per-observation Kullback-Leibler divergence rate of theta0's law from theta's:
 
-        h = log(sigma2 / sigma0^2) / 2 + A / (2 sigma2) - 1/2,
-        A = sigma0^2 + V (rho - rho0)^2 + (b - b0)' G (b - b0),
+        h_n = log(sigma2 / sigma0^2) / 2 + (sigma0^2 + d'H_n d) / (2 sigma2) - 1/2,
 
-    with G = (Z'Z)/n and V from ``_long_run_variance``.  Requires a stationary
-    generating process (|rho0| < 1).
+    with d = (rho, beta) - (rho0, beta0) and H_n from ``_expected_gram``.
+    Given the past, x_t is a regression on w_t = (x_(t-1), z_t) with true
+    noise independent of w_t, so h_n is the exact divergence of the two laws
+    of x_1..x_n over n, at every n and for any rho0.
     """
     p = design.num_covariates + 1
     if theta.num_coefficients != p or theta0.num_coefficients != p:
         raise InvalidSpec("coefficient vectors and design width disagree")
-    gram = design.gram()
-    gap = theta.beta - theta0.beta
-    a = theta0.sigma2 + _long_run_variance(theta0, gram) * (theta.rho - theta0.rho) ** 2
-    a += float(gap @ gram @ gap)
+    gap = np.concatenate(([theta.rho - theta0.rho], theta.beta - theta0.beta))
+    a = theta0.sigma2 + float(gap @ _expected_gram(theta0, design) @ gap)
     return 0.5 * math.log(theta.sigma2 / theta0.sigma2) + a / (2.0 * theta.sigma2) - 0.5
-
-
-def _nearer_boundary(value: float, bound: float) -> float:
-    """The point of {-bound, +bound} closer to ``value`` (+bound on a tie)."""
-    return bound if value >= 0.0 else -bound
 
 
 @dataclass(frozen=True)
@@ -656,6 +669,7 @@ class ErrorExponent:
     argmin_hypothesis: int
 
 
+@one_blas_thread()
 def estimate_error_exponent(
     theta0: Ar1Params,
     spec: TestSpec,
@@ -663,53 +677,37 @@ def estimate_error_exponent(
 ) -> ErrorExponent:
     """Minimize the divergence rate over parameters that flip one decision.
 
-    For each hypothesis the offending coordinate is pushed into the wrong
-    region (a coefficient clamped inside the null band, or forced outside it;
-    the autoregression pulled inside, or pushed past, ``rho_null_bound``) while
-    the remaining coefficients stay at their generating values and (rho,
-    sigma2) are free.  The divergence rate of ``kl_divergence_rate`` then has
-
-        A = sigma0^2 + V (rho - rho0)^2 + G_ii (b_i - b0_i)^2.
-
-    The best sigma2 is A, so h = log(A / sigma0^2) / 2, and the offending
-    coordinate sits on the wrong region's boundary nearest the truth, at
-    distance delta:
-
-        coefficient i:   J_i = log1p(G_ii delta^2 / sigma0^2) / 2,
-                         delta = | |b0_i| - null_radius |, rho = rho0;
-        autoregression:  J = log1p(V delta^2 / sigma0^2) / 2,
-                         delta = | |rho0| - rho_null_bound |.
-
+    Hypothesis h tests coordinate k of theta = (rho, beta), k = 0 for the
+    autoregression and coefficient + 1 otherwise.  With sigma2 and every other
+    coordinate free, the least divergence rate with d_k = delta, for the point
+    b = theta0_k + delta of the wrong region nearest the truth (+bound on a
+    tie), is J_k = log1p(delta^2 / (sigma0^2 (H^-1)_kk)) / 2, at
+    theta* = theta0 + delta H^-1 e_k / (H^-1)_kk and
+    sigma2* = sigma0^2 + delta^2 / (H^-1)_kk, for H = H_n of ``_expected_gram``.
     Single-coordinate violations suffice: flipping several decisions shrinks
     the feasible set, so it cannot lower the minimum.
     """
     if theta0.num_coefficients != design.num_covariates + 1:
         raise InvalidSpec("coefficient vector and design width disagree")
-    gram = design.gram()
-    beta0 = theta0.beta
-    s20 = theta0.sigma2
-    long_run = _long_run_variance(theta0, gram)
+    inverse = np.linalg.inv(_expected_gram(theta0, design))
+    theta = np.concatenate(([theta0.rho], theta0.beta))
+    index = np.arange(spec.num_hypotheses) + 1 - int(spec.include_rho_test)
+    bound = np.where(index == 0, spec.rho_null_bound, spec.null_radius)
+    target = np.where(theta[index] >= 0.0, bound, -bound)
+    delta = target - theta[index]
+    spread = inverse[index, index]
+    excess = delta**2 / spread
+    per_hypothesis = 0.5 * np.log1p(excess / theta0.sigma2)
 
-    per_hypothesis = np.empty(spec.num_hypotheses)
-    argmins: list[Ar1Params] = []
-    for hyp in range(spec.num_hypotheses):
-        coef = spec.coefficient_of_hypothesis(hyp)
-        rho, beta = theta0.rho, beta0.copy()
-        if coef is None:
-            rho = _nearer_boundary(theta0.rho, spec.rho_null_bound)
-            excess = long_run * (rho - theta0.rho) ** 2
-        else:
-            beta[coef] = _nearer_boundary(beta0[coef], spec.null_radius)
-            excess = gram[coef, coef] * (beta[coef] - beta0[coef]) ** 2
-        per_hypothesis[hyp] = 0.5 * math.log1p(excess / s20)
-        argmins.append(Ar1Params(rho, s20 + excess, beta))
-
-    best_hyp = int(np.argmin(per_hypothesis))
+    best = int(np.argmin(per_hypothesis))
+    k = index[best]
+    argmin = theta + delta[best] / spread[best] * inverse[:, k]
+    argmin[k] = target[best]  # theta0_k + delta need not round to the boundary
     return ErrorExponent(
-        value=float(per_hypothesis[best_hyp]),
-        argmin=argmins[best_hyp],
+        value=float(per_hypothesis[best]),
+        argmin=Ar1Params(float(argmin[0]), theta0.sigma2 + float(excess[best]), argmin[1:]),
         per_hypothesis=per_hypothesis,
-        argmin_hypothesis=best_hyp,
+        argmin_hypothesis=best,
     )
 
 

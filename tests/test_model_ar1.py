@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
 from nonmarginal import (
     Ar1Params,
@@ -58,8 +58,9 @@ class TestGenerateDesign:
 
     def test_orthogonalized_gram_eigenvalue_matches_eigendecomposition(self):
         design = generate_design(100, 5, generator="orthogonalized", scale=1.3, seed=4)
-        np.testing.assert_allclose(design.gram(), np.diag([1.0] + [1.3**2] * 5), atol=1e-12)
-        assert abs(float(np.linalg.eigvalsh(design.gram()).max()) - 1.3**2) < 1e-8
+        gram = design.ztz / design.n_obs
+        np.testing.assert_allclose(gram, np.diag([1.0] + [1.3**2] * 5), atol=1e-12)
+        assert abs(float(np.linalg.eigvalsh(gram).max()) - 1.3**2) < 1e-8
 
     def test_same_seed_bit_identical(self):
         a = generate_design(80, 4, seed=11)
@@ -521,30 +522,42 @@ class TestLogLikelihoodRatio:
             log_likelihood_ratio(Ar1Params(0.0, 1.0, np.zeros(3)), self.theta0, data)
 
 
-def _signal_averages(beta, beta0, design):
-    """Averages of (z_t'b)^2, (z_t'b0)^2 and z_t'b z_t'b0 over the design rows."""
-    fit, fit0 = design.z @ beta, design.z @ beta0
+def _dense_rate(theta, theta0, design):
+    """KL / n between the n-dimensional Gaussian laws of x under theta0 and theta.
+
+    With A_t = I - rho_t S, S the subdiagonal shift, theta0 gives
+    x = A_0^-1 (Z b0 + e), of mean mu0 and covariance sigma0^2 A_0^-1 A_0^-T,
+    and theta gives A x - Z b ~ N(0, sigma2 I) with det A = 1, so
+
+        KL = [tr(A Sigma0 A') / sigma2 + |Z b - A mu0|^2 / sigma2 - n + n log(sigma2 / sigma0^2)] / 2.
+
+    Built from dense n x n matrices: it reads neither W nor the package's
+    closed form.  Only A_0 is inverted.
+    """
     n = design.n_obs
-    return float(fit @ fit) / n, float(fit0 @ fit0) / n, float(fit @ fit0) / n
-
-
-def _reference_rate(theta, theta0, averages):
-    """The divergence rate expanded term by term in the long-run second moment
-    V = (sigma0^2 + true_power) / (1 - rho0^2), from ``_signal_averages``: an
-    oracle that reads neither the Gram matrix nor the package's V."""
-    model_power, true_power, cross_power = averages
+    shift = np.eye(n, k=-1)
+    a0_inv = np.linalg.inv(np.eye(n) - theta0.rho * shift)
+    mu0 = a0_inv @ design.z @ theta0.beta
+    a = np.eye(n) - theta.rho * shift
+    spread = a @ a0_inv  # tr(A Sigma0 A') = sigma0^2 |A A_0^-1|_F^2
+    resid = design.z @ theta.beta - a @ mu0
     s2, s20 = theta.sigma2, theta0.sigma2
-    rho, rho0 = theta.rho, theta0.rho
-    v = (s20 + true_power) / (1.0 - rho0**2)
-    return (
-        0.5 * math.log(s2 / s20)
-        + (0.5 / s2 - 0.5 / s20) * v
-        + (0.5 * rho**2 / s2 - 0.5 * rho0**2 / s20) * v
-        + 0.5 * model_power / s2
-        - 0.5 * true_power / s20
-        - (rho / s2 - rho0 / s20) * rho0 * v
-        - (cross_power / s2 - true_power / s20)
-    )
+    kl = 0.5 * (s20 * np.sum(spread**2) / s2 + resid @ resid / s2 - n + n * math.log(s2 / s20))
+    return float(kl) / n
+
+
+def _pinned_minimum(theta0, design, pinned):
+    """BFGS minimum of ``_dense_rate`` over (rho, beta, log sigma2) with the
+    coordinates of theta = (rho, beta) in ``pinned`` (index -> value) held."""
+    point = np.concatenate(([theta0.rho], theta0.beta, [math.log(theta0.sigma2)]))
+    point[list(pinned)] = list(pinned.values())
+    free = [i for i in range(point.size) if i not in pinned]
+
+    def rate(values):
+        point[free] = values
+        return _dense_rate(Ar1Params(point[0], math.exp(point[-1]), point[1:-1]), theta0, design)
+
+    return optimize.minimize(rate, point[free], method="BFGS", options={"gtol": 1e-12}).fun
 
 
 class TestKlDivergenceRate:
@@ -569,44 +582,50 @@ class TestKlDivergenceRate:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(2, 120),
+        st.integers(2, 60),
         st.integers(0, 5),
         st.sampled_from(["iid_gaussian_bounded", "orthogonalized"]),
         st.integers(0, 2**16),
         st.floats(-1.5, 1.5),
-        st.floats(-0.9, 0.9),
+        st.floats(-1.2, 1.2),
         st.floats(0.3, 4.0),
         st.floats(0.3, 4.0),
     )
-    def test_matches_the_term_by_term_reference(self, n, m, generator, seed, rho, rho0, s2, s20):
+    def test_matches_the_dense_gaussian_oracle(self, n, m, generator, seed, rho, rho0, s2, s20):
         if generator == "orthogonalized" and m + 1 > n:
             n = m + 1
         design = generate_design(n, m, generator=generator, seed=seed)
         rng = np.random.default_rng(seed)
         theta = Ar1Params(rho, s2, rng.uniform(-2.0, 2.0, m + 1))
         theta0 = Ar1Params(rho0, s20, rng.uniform(-2.0, 2.0, m + 1))
-        want = _reference_rate(theta, theta0, _signal_averages(theta.beta, theta0.beta, design))
+        want = _dense_rate(theta, theta0, design)
         got = kl_divergence_rate(theta, theta0, design)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_unit_root_truth_matches_the_dense_oracle(self):
+        design = generate_design(40, 2, seed=3)
+        theta0 = Ar1Params(1.0, 0.8, np.array([0.5, 1.0, -0.4]))
+        for theta in (Ar1Params(0.9, 1.1, theta0.beta),
+                      Ar1Params(1.05, 0.8, theta0.beta + np.array([0.2, 0.0, 0.3]))):
+            want = _dense_rate(theta, theta0, design)
+            assert abs(kl_divergence_rate(theta, theta0, design) - want) <= 1e-10 * want
 
     def test_empirical_equipartition_anchor(self):
-        n = 4000
-        design = generate_design(n, 3, seed=2)
+        def deviation(theta, theta0, design, seed):
+            n = design.n_obs
+            devs = [log_likelihood_ratio(theta, theta0, simulate(theta0, design, n, seed=seed + r)) / n
+                    for r in range(20)]
+            return float(np.mean(devs)) + kl_divergence_rate(theta, theta0, design)
+
+        design = generate_design(4000, 3, seed=2)
         theta0 = Ar1Params(0.5, 1.0, np.array([0.0, 1.0, 0.0, -0.8]))
         theta = Ar1Params(0.6, 1.4, theta0.beta + np.array([0.0, 0.2, 0.0, 0.0]))
-        rate = kl_divergence_rate(theta, theta0, design)
-        devs = [
-            log_likelihood_ratio(theta, theta0, simulate(theta0, design, n, seed=100 + r)) / n
-            + rate
-            for r in range(20)
-        ]
-        assert abs(float(np.mean(devs))) < 0.02
-
-    def test_requires_stationary_truth(self):
-        design = generate_design(50, 1, seed=0)
-        zero = np.zeros(2)
-        with pytest.raises(InvalidSpec):
-            kl_divergence_rate(Ar1Params(0.0, 1.0, zero), Ar1Params(1.0, 1.0, zero), design)
+        assert abs(deviation(theta, theta0, design, 100)) < 0.02
+        # an active intercept gives the lag a mean, which the cross block and
+        # mu_lag'mu_lag carry into the rho-rho direction
+        design = generate_design(2000, 10, seed=4)
+        theta0 = Ar1Params(0.5, 1.0, np.where(np.isin(np.arange(11), (0, 5, 9)), 1.5, 0.0))
+        assert abs(deviation(Ar1Params(0.7, 1.0, theta0.beta), theta0, design, 200)) < 0.02
 
     def test_coefficient_widths_must_match_the_design(self):
         design = generate_design(50, 1, seed=0)
@@ -616,53 +635,53 @@ class TestKlDivergenceRate:
 
 
 class TestErrorExponent:
-    design = generate_design(400, 2, generator="orthogonalized", scale=1.0, seed=2)
+    design = generate_design(60, 2, seed=2)
     spec = TestSpec(num_covariates=2, include_rho_test=True, null_radius=0.1)
     theta0 = Ar1Params(0.0, 1.0, np.array([0.0, 1.0, 0.0]))
 
-    def test_active_subproblem_matches_dense_grid_oracle(self):
+    def test_active_subproblem_matches_the_numerical_minimum(self):
         exponent = estimate_error_exponent(self.theta0, self.spec, self.design)
         active_hyp = self.spec.coefficient_hypothesis(1)
-        best = math.inf
-        for b1 in np.arange(-0.1, 0.1 + 1e-12, 1e-3):
-            beta = np.array([0.0, float(b1), 0.0])
-            averages = _signal_averages(beta, self.theta0.beta, self.design)
-            for s2 in np.arange(0.5, 2.0 + 1e-12, 1e-3):
-                h = _reference_rate(Ar1Params(0.0, float(s2), beta), self.theta0, averages)
-                best = min(best, h)
-        assert abs(exponent.per_hypothesis[active_hyp] - best) < 1e-6
+        best = min(_pinned_minimum(self.theta0, self.design, {2: b1})
+                   for b1 in np.linspace(-0.1, 0.1, 5))
+        assert abs(exponent.per_hypothesis[active_hyp] - best) < 1e-9
         # the overall minimum is the cheapest wrong decision across hypotheses
         assert exponent.value == pytest.approx(float(exponent.per_hypothesis.min()))
         assert exponent.value >= -1e-9
 
-    def test_every_wrong_region_matches_dense_grid_oracle(self):
-        # (truth, spec, hypothesis, wrong-region grid for its coordinate)
-        edge = np.arange(0.0, 0.2 + 1e-12, 0.05)
+    def test_every_wrong_region_matches_the_numerical_minimum(self):
+        # (truth, spec, hypothesis, its theta coordinate, points of its wrong region)
+        edge = np.array([0.0, 0.05, 0.2])
         null_true_rho = Ar1Params(0.0, 1.0, self.theta0.beta)
-        alt_true_rho = Ar1Params(0.5, 1.0, self.theta0.beta)
+        alt_true_rho = Ar1Params(0.5, 1.3, np.array([0.4, 1.0, -0.05]))
         narrow = TestSpec(num_covariates=2, include_rho_test=True, null_radius=0.1, rho_null_bound=0.3)
+        no_rho = TestSpec(num_covariates=2, include_rho_test=False, null_radius=0.1)
+        outside = np.concatenate([0.1 + edge, -0.1 - edge])
         cases = {
-            "rho null true": (null_true_rho, narrow, 0, np.concatenate([0.3 + edge, -0.3 - edge])),
-            "rho alternative true": (alt_true_rho, narrow, 0, np.linspace(-0.3, 0.3, 13)),
-            "coefficient null true": (self.theta0, self.spec, 3, np.concatenate([0.1 + edge, -0.1 - edge])),
-            "coefficient alternative true": (self.theta0, self.spec, 2, np.linspace(-0.1, 0.1, 9)),
+            "rho null true": (null_true_rho, narrow, 0, 0, np.concatenate([0.3 + edge, -0.3 - edge])),
+            "rho alternative true": (alt_true_rho, narrow, 0, 0, np.linspace(-0.3, 0.3, 5)),
+            "coefficient null true": (alt_true_rho, self.spec, 3, 3, outside),
+            "coefficient alternative true": (alt_true_rho, self.spec, 2, 2, np.linspace(-0.1, 0.1, 5)),
+            "intercept without the rho test": (alt_true_rho, no_rho, 0, 1, np.linspace(-0.1, 0.1, 5)),
+            "coefficient without the rho test": (alt_true_rho, no_rho, 2, 3, outside),
         }
-        sigma2s = np.arange(0.5, 2.0 + 1e-12, 2e-3)
-        for name, (theta0, spec, hyp, wrong_values) in cases.items():
+        for name, (theta0, spec, hyp, k, wrong_values) in cases.items():
             exponent = estimate_error_exponent(theta0, spec, self.design)
-            coef = spec.coefficient_of_hypothesis(hyp)
-            rhos = wrong_values if coef is None else theta0.rho + np.linspace(-0.04, 0.04, 5)
-            best = math.inf
-            for pinned in [None] if coef is None else wrong_values:
-                beta = theta0.beta.copy()
-                if coef is not None:
-                    beta[coef] = pinned
-                averages = _signal_averages(beta, theta0.beta, self.design)
-                for rho in rhos:
-                    for s2 in sigma2s:
-                        h = _reference_rate(Ar1Params(float(rho), float(s2), beta), theta0, averages)
-                        best = min(best, h)
-            assert abs(exponent.per_hypothesis[hyp] - best) < 1e-6, name
+            best = min(_pinned_minimum(theta0, self.design, {k: value}) for value in wrong_values)
+            assert abs(exponent.per_hypothesis[hyp] - best) < 1e-9, name
+            if exponent.argmin_hypothesis == hyp:
+                argmin = exponent.argmin
+                assert abs(_dense_rate(argmin, theta0, self.design) - exponent.value) < 1e-12, name
+
+    def test_argmin_sits_on_the_boundary(self):
+        # here 0.18 + (0.1 - 0.18) / s * s rounds to 0.10000000000000002
+        theta0 = Ar1Params(-0.1, 1.0, np.array([0.26, 0.26, 0.18]))
+        for spec in (self.spec, TestSpec(num_covariates=2, include_rho_test=False, null_radius=0.1)):
+            exponent = estimate_error_exponent(theta0, spec, self.design)
+            coef = spec.coefficient_of_hypothesis(exponent.argmin_hypothesis)
+            assert coef is not None and abs(exponent.argmin.beta[coef]) == spec.null_radius
+            assert abs(kl_divergence_rate(exponent.argmin, theta0, self.design)
+                       - exponent.value) <= 1e-12
 
     def test_boundary_collapse_sends_exponent_to_zero(self):
         values = []
@@ -676,24 +695,20 @@ class TestErrorExponent:
     def test_single_coordinate_violation_is_cheapest(self):
         # flipping two decisions at once can only cost more divergence
         exponent = estimate_error_exponent(self.theta0, self.spec, self.design)
-        grid = np.linspace(-0.1, 0.1, 21)
-        worst = math.inf
-        for b1 in grid:
-            for b2 in np.concatenate([np.linspace(-1.5, -0.1, 15), np.linspace(0.1, 1.5, 15)]):
-                beta = np.array([0.0, float(b1), float(b2)])  # both decisions wrong
-                averages = _signal_averages(beta, self.theta0.beta, self.design)
-                for s2 in np.linspace(0.4, 3.0, 40):
-                    worst = min(
-                        worst,
-                        _reference_rate(Ar1Params(0.0, float(s2), beta), self.theta0, averages),
-                    )
+        worst = min(
+            _pinned_minimum(self.theta0, self.design, {2: b1, 3: b2})  # both decisions wrong
+            for b1 in np.linspace(-0.1, 0.1, 3)
+            for b2 in (-1.0, -0.1, 0.1, 1.0)
+        )
         assert worst >= exponent.value - 1e-9
 
-    def test_requires_stationary_truth(self):
-        with pytest.raises(InvalidSpec):
-            estimate_error_exponent(
-                Ar1Params(1.1, 1.0, np.zeros(3)), self.spec, self.design
-            )
+    def test_explosive_truth_at_large_n_is_refused(self):
+        design = generate_design(4000, 2, seed=0)
+        theta0 = Ar1Params(1.2, 1.0, np.array([0.5, 1.0, 0.0]))
+        with pytest.raises(InvalidSpec, match=r"rho0 = 1\.2 at n = 4000"):
+            estimate_error_exponent(theta0, self.spec, design)
+        with pytest.raises(InvalidSpec, match=r"rho0 = 1\.2 at n = 4000"):
+            kl_divergence_rate(Ar1Params(1.0, 1.0, theta0.beta), theta0, design)
 
 
 class TestPersistence:
