@@ -30,8 +30,7 @@ from .error_rates import (
     FrequentistErrorReport,
     PosteriorErrorReport,
     RateFit,
-    false_discovery_proportion,
-    false_nondiscovery_proportion,
+    error_shares,
     frequentist_rates,
     posterior_rates,
     rate_fit,

@@ -1,11 +1,13 @@
 """Posterior and frequentist error rates, and decay-rate regression.
 
-Data-conditional rates come in two flavors: the plain posterior false
-discovery / non-discovery rates built from marginal alternative probabilities,
-and their modified versions built from the joint group-correctness
-probabilities.  Replicate-averaged (frequentist) rates condition on the
-relevant denominator being positive; empty conditioning events are reported as
-undefined (None), never imputed as zero.
+Every rate is one pair of shares of a decision ``d`` against a probability
+vector ``p`` (``error_shares``): the realized false discovery / non-discovery
+proportions when ``p`` is the truth, the posterior rates when ``p`` holds the
+marginal alternative probabilities, and their modified versions when ``p``
+holds the joint group-correctness probabilities.  Replicate-averaged
+(frequentist) rates condition on the relevant denominator being positive;
+empty conditioning events are reported as undefined (None), never imputed as
+zero.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import InvalidSpec
-from .hypotheses import DecisionConfig, TruthAssignment
+from .hypotheses import DecisionConfig
 
-RATE_FIELDS = ("pfdr", "pfnr", "pbfdr", "pbfnr", "mpbfdr", "mpbfnr")
+# each replicate-averaged rate, with the report field counting its conditioning replicates
+RATE_FIELDS = {"pfdr": "n_conditioning_fdr", "pfnr": "n_conditioning_fnr",
+               "pbfdr": "n_conditioning_fdr", "pbfnr": "n_conditioning_fnr",
+               "mpbfdr": "n_conditioning_fdr", "mpbfnr": "n_conditioning_fnr"}
 
 
 def _json_ready(value):
@@ -40,7 +45,7 @@ class PosteriorErrorReport:
 
     ``fdr_xn``/``fnr_xn`` use marginal alternative probabilities; the modified
     ``mfdr_xn``/``mfnr_xn`` replace them with joint group-correctness
-    probabilities.  Denominators are guarded by max(., 1).
+    probabilities.  A rate with an empty denominator is 0.0.
     """
 
     fdr_xn: float
@@ -69,9 +74,11 @@ class FrequentistErrorReport:
     n_conditioning_fdr: int
     n_conditioning_fnr: int
 
-    def payload(self) -> dict:
-        """Every field, as JSON data."""
-        return _json_ready(asdict(self))
+    def rows(self) -> list[tuple]:
+        """``(metric, value, se, n_conditioning)`` of every rate, in ``RATE_FIELDS`` order."""
+        record = asdict(self)
+        return [(metric, record[metric], self.standard_errors[metric], record[count])
+                for metric, count in RATE_FIELDS.items()]
 
 
 @dataclass(frozen=True)
@@ -103,55 +110,36 @@ class RateFit:
         return _json_ready(asdict(self))
 
 
+def error_shares(bits: np.ndarray, p) -> tuple[float | None, float | None]:
+    """``(Σd(1−p)/Σd, Σ(1−d)p/Σ(1−d))`` for decision bits ``d``.
+
+    With ``p`` the truth bits these are the false discovery and false
+    non-discovery proportions; with posterior probabilities of the
+    alternatives, the posterior rates.  A share is None when its denominator
+    (the rejections, or the acceptances) is empty.
+    """
+    d = np.asarray(bits, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if p.shape != d.shape:
+        raise InvalidSpec(f"decision and probability vectors disagree on length: {d.size} != {p.size}")
+    rejections = d.sum()
+    acceptances = d.size - rejections
+    return (float(np.dot(d, 1.0 - p) / rejections) if rejections else None,
+            float(np.dot(1.0 - d, p) / acceptances) if acceptances else None)
+
+
 def posterior_rates(
     marginals: np.ndarray,
     joint_probs: np.ndarray,
     config: DecisionConfig,
 ) -> PosteriorErrorReport:
-    """Posterior error rates of a decision configuration.
+    """Posterior error rates of a decision configuration, 0.0 when undefined.
 
     Truth plays no role here: every ingredient is a posterior probability
     evaluated at the chosen configuration.
     """
-    v = np.asarray(marginals, dtype=float)
-    w = np.asarray(joint_probs, dtype=float)
-    d = config.bits.astype(float)
-    if v.size != d.size or w.size != d.size:
-        raise InvalidSpec("rate inputs disagree on the hypothesis count")
-    rejections = d.sum()
-    denom_r = max(rejections, 1.0)
-    denom_a = max(d.size - rejections, 1.0)
-    return PosteriorErrorReport(
-        fdr_xn=float(np.dot(d, 1.0 - v) / denom_r),
-        fnr_xn=float(np.dot(1.0 - d, v) / denom_a),
-        mfdr_xn=float(np.dot(d, 1.0 - w) / denom_r),
-        mfnr_xn=float(np.dot(1.0 - d, w) / denom_a),
-    )
-
-
-def _check_lengths(config: DecisionConfig, truth: TruthAssignment) -> None:
-    if len(config) != len(truth):
-        raise InvalidSpec("decision and truth vectors disagree on length")
-
-
-def false_discovery_proportion(config: DecisionConfig, truth: TruthAssignment) -> float | None:
-    """Share of rejections that hit true nulls; None without any rejection."""
-    _check_lengths(config, truth)
-    d = config.bits
-    rejections = int(d.sum())
-    if rejections == 0:
-        return None
-    return float((d & ~truth.alt_true).sum()) / rejections
-
-
-def false_nondiscovery_proportion(config: DecisionConfig, truth: TruthAssignment) -> float | None:
-    """Share of acceptances that miss true alternatives; None without any acceptance."""
-    _check_lengths(config, truth)
-    a = ~config.bits
-    acceptances = int(a.sum())
-    if acceptances == 0:
-        return None
-    return float((a & truth.alt_true).sum()) / acceptances
+    rates = (*error_shares(config.bits, marginals), *error_shares(config.bits, joint_probs))
+    return PosteriorErrorReport(*(0.0 if rate is None else rate for rate in rates))
 
 
 def _conditional_mean(values: list[float]) -> tuple[float | None, float | None]:
@@ -207,37 +195,28 @@ def rate_fit(
         math.log(v) / n if v > 0 else math.nan for v, n in zip(vals, ns)
     )
     usable = [(n, v) for n, v in zip(ns, vals) if v > 0 and math.isfinite(v)]
-    if len(usable) < 2:
+    degenerate = len(usable) < 2
+    if degenerate:
         slope = -math.inf if not usable else math.nan
-        return RateFit(
-            metric=metric,
-            ns=ns,
-            values=vals,
-            normalized_log=normalized,
-            slope=slope,
-            intercept=math.nan,
-            r_squared=math.nan,
-            exponent_reference=exponent_reference,
-            bound_slack=math.nan,
-            degenerate=True,
-            n_used=len(usable),
-        )
-    xs = np.array([n for n, _ in usable], dtype=float)
-    ys = np.log([v for _, v in usable])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residuals = ys - (slope * xs + intercept)
-    total = float(((ys - ys.mean()) ** 2).sum())
-    r_squared = 1.0 if total == 0.0 else 1.0 - float((residuals**2).sum()) / total
+        intercept = r_squared = bound_slack = math.nan
+    else:
+        xs = np.array([n for n, _ in usable], dtype=float)
+        ys = np.log([v for _, v in usable])
+        slope, intercept = (float(c) for c in np.polyfit(xs, ys, 1))
+        residuals = ys - (slope * xs + intercept)
+        total = float(((ys - ys.mean()) ** 2).sum())
+        r_squared = 1.0 if total == 0.0 else 1.0 - float((residuals**2).sum()) / total
+        bound_slack = slope + exponent_reference
     return RateFit(
         metric=metric,
         ns=ns,
         values=vals,
         normalized_log=normalized,
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         r_squared=r_squared,
         exponent_reference=exponent_reference,
-        bound_slack=float(slope) + exponent_reference,
-        degenerate=False,
+        bound_slack=bound_slack,
+        degenerate=degenerate,
         n_used=len(usable),
     )

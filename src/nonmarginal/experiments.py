@@ -43,8 +43,7 @@ from .error_rates import (
     FrequentistErrorReport,
     PosteriorErrorReport,
     RateFit,
-    false_discovery_proportion,
-    false_nondiscovery_proportion,
+    error_shares,
     frequentist_rates,
     posterior_rates,
     rate_fit,
@@ -56,6 +55,7 @@ from .hypotheses import (
     TestSpec,
     bit_string,
     build_groups,
+    check_group_rule,
     connected_components,
     read_group_file,
     truth_from_params,
@@ -68,6 +68,7 @@ from .model_ar1 import (
     ErrorExponent,
     PriorConfig,
     _floats_per_chain,
+    check_design_rule,
     estimate_error_exponent,
     generate_design,
     gibbs_sample,
@@ -175,6 +176,8 @@ class ScenarioConfig:
             raise InvalidSpec("target_alpha must lie strictly inside (0, 1)")
         if not self.calibration_tolerance > 0:
             raise InvalidSpec("calibration_tolerance must be positive")
+        if self.calibration_max_iterations < 1:
+            raise InvalidSpec("calibration_max_iterations must be at least 1")
         if self.num_draws < 1 or self.burn_in < 0:
             raise InvalidSpec("need num_draws >= 1 and burn_in >= 0")
         if self.workers < 0:
@@ -182,6 +185,11 @@ class ScenarioConfig:
         m_min = self.m_for(self.n_grid[0])
         if any(not 0 <= i <= m_min for i in self.active_indices):
             raise InvalidSpec("active indices must fit the smallest covariate count on the grid")
+        # the checks each value meets where it is used, run before anything is generated
+        self.spec_for(m_min)
+        self.params_for(m_min)
+        check_design_rule(self.design_generator, self.design_scale)
+        check_group_rule(self.group_threshold, self.group_max_size)
         if self.growth == "ultra" and self.prior.family == "independent_gaussian":
             warnings.warn(
                 "ultra growth with an independent Gaussian coefficient prior: the "
@@ -410,7 +418,6 @@ def extend_ensembles(ensembles: list, count: int, workers: int) -> list[int]:
                 ensemble.replicates.append(item)
     for ensemble in growing:
         ensemble._decision_cache.clear()
-        ensemble._report_cache.clear()
         if not ensemble.replicates:
             raise InvalidSpec(f"every replicate failed at n={ensemble.n}: {ensemble.failures[:3]}")
     return [len(batch) for _, _, batch in items]
@@ -444,7 +451,6 @@ class DecisionEnsemble:
         self.replicates: list[ReplicatePosterior] = []
         self.failures: list[ReplicateFailure] = []
         self._decision_cache: dict[tuple, list[MethodOutcome]] = {}
-        self._report_cache: dict[tuple, FrequentistErrorReport] = {}
         extend_ensembles([self], cfg.replicates if replicates is None else replicates, self.workers)
 
     @property
@@ -469,8 +475,7 @@ class DecisionEnsemble:
         else:
             raise InvalidSpec(f"unknown decision rule {rule!r}")
         joint = joint_correct_probs(rep.indicators, self.groups, config)
-        return MethodOutcome(config, false_discovery_proportion(config, self.truth),
-                             false_nondiscovery_proportion(config, self.truth),
+        return MethodOutcome(config, *error_shares(config.bits, self.truth.alt_true),
                              posterior_rates(rep.marginals, joint, config))
 
     def decide(self, penalty: float, rule: str = "nonmarginal") -> list[MethodOutcome]:
@@ -482,22 +487,16 @@ class DecisionEnsemble:
         return self._decision_cache[key]
 
     def frequentist(self, penalty: float, rule: str = "nonmarginal") -> FrequentistErrorReport:
-        key = (rule, round(float(penalty), 15))
-        if key not in self._report_cache:
-            self._report_cache[key] = frequentist_rates(
-                [(o.fdp, o.fnp, o.report) for o in self.decide(penalty, rule)]
-            )
-        return self._report_cache[key]
+        return frequentist_rates([(o.fdp, o.fnp, o.report) for o in self.decide(penalty, rule)])
 
     def evaluate(self, penalty: float, objective: str = "mpbfdr",
                  rule: str = "nonmarginal") -> CurvePoint:
         if objective not in RATE_FIT_METRICS:
             raise InvalidSpec(f"unknown calibration objective {objective!r}")
         report = self.frequentist(penalty, rule)
-        value = getattr(report, objective)
-        se = report.standard_errors[objective]
-        count = report.n_conditioning_fdr if objective.endswith("fdr") else report.n_conditioning_fnr
-        return CurvePoint(penalty=float(penalty), value=value, se=se, n_conditioning=count)
+        return CurvePoint(penalty=float(penalty), value=getattr(report, objective),
+                          se=report.standard_errors[objective],
+                          n_conditioning=getattr(report, RATE_FIELDS[objective]))
 
     def consistency_fraction(self, penalty: float, rule: str = "nonmarginal") -> tuple[float, float]:
         """Share of replicates whose decision equals the truth, with its MC error."""
@@ -576,22 +575,18 @@ def _cell(value: float | None) -> str:
 
 def write_reports(out: Path, reports: dict, fits: dict[tuple[str, str], RateFit],
                   m_for) -> list[str]:
-    """Write ``report_{rule}_n{n}.json`` per (n, rule), the long table
-    ``rates.csv`` in the order of ``reports``, and ``rate_fits.json`` when
-    there are ``fits``; return the names written.  ``m_for`` maps n to m_n."""
-    names = []
-    for (n, rule), report in reports.items():
-        path = out / f"report_{rule}_n{n}.json"
-        path.write_text(json.dumps(report.payload(), indent=2, sort_keys=True))
-        names.append(path.name)
+    """Write the long table ``rates.csv``, every report of ``reports`` in its
+    order, and ``rate_fits.json`` when there are ``fits``; return the names
+    written.  ``m_for`` maps n to m_n."""
+    names = ["rates.csv"]
     with open(out / "rates.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "m_n", "method", "metric", "value", "se"])
+        writer.writerow(["n", "m_n", "method", "metric", "value", "se", "n_conditioning",
+                         "n_replicates"])
         for (n, rule), report in reports.items():
-            for metric in RATE_FIELDS:
-                value, se = getattr(report, metric), report.standard_errors[metric]
-                writer.writerow([n, m_for(n), rule, metric, _cell(value), _cell(se)])
-    names.append("rates.csv")
+            for metric, value, se, count in report.rows():
+                writer.writerow([n, m_for(n), rule, metric, _cell(value), _cell(se), count,
+                                 report.n_replicates])
     if fits:
         (out / "rate_fits.json").write_text(json.dumps(
             {f"{rule}.{metric}": fit.payload() for (rule, metric), fit in fits.items()},
@@ -693,9 +688,10 @@ class Scenario:
 def run_scenario(cfg: ScenarioConfig, out_dir, workers: int | None = None) -> Scenario:
     """Run the full grid and persist plot-ready artifacts.
 
-    Per sample size: replicate CSVs and aggregate JSON reports for both
-    decision rules; across sizes: decay-rate fits against the estimated error
-    exponent, plus penalty calibration traces when a target level is set.
+    Per sample size: replicate CSVs for both decision rules, and their
+    aggregates in one ``rates.csv``; across sizes: decay-rate fits against the
+    estimated error exponent, plus penalty calibration traces when a target
+    level is set.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -246,6 +246,14 @@ def _column_correlations(z: np.ndarray) -> np.ndarray:
     return np.clip(corr, -1.0, 1.0)
 
 
+def check_group_rule(threshold: float, max_group_size: int) -> None:
+    """Raise ``InvalidSpec`` unless ``build_groups`` accepts the rule."""
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidSpec("correlation threshold must lie in [0, 1]")
+    if max_group_size < 1:
+        raise InvalidSpec("max_group_size must be at least 1")
+
+
 def build_groups(
     design: "CovariateDesign",
     spec: TestSpec,
@@ -259,10 +267,7 @@ def build_groups(
     keeping the largest ``|corr|``.  The autoregression hypothesis stays a
     singleton; explicit group files override this rule entirely.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidSpec("correlation threshold must lie in [0, 1]")
-    if max_group_size < 1:
-        raise InvalidSpec("max_group_size must be at least 1")
+    check_group_rule(threshold, max_group_size)
     z = design.z
     if z.shape[1] != spec.num_covariates + 1:
         raise InvalidSpec(

@@ -270,6 +270,15 @@ class PosteriorBatch:
 # design generation and simulation
 # ---------------------------------------------------------------------------
 
+def check_design_rule(generator: str, scale: float) -> None:
+    """Raise ``InvalidSpec`` unless ``generate_design`` knows ``generator`` and
+    ``scale`` is positive."""
+    if generator not in ("iid_gaussian_bounded", "orthogonalized"):
+        raise InvalidSpec(f"unknown design generator {generator!r}")
+    if not scale > 0:
+        raise InvalidSpec(f"design scale must be positive, not {scale!r}")
+
+
 def generate_design(
     n: int,
     num_covariates: int,
@@ -291,8 +300,7 @@ def generate_design(
         raise InvalidSpec("need at least two observations")
     if num_covariates < 0:
         raise InvalidSpec("num_covariates must be non-negative")
-    if generator not in ("iid_gaussian_bounded", "orthogonalized"):
-        raise InvalidSpec(f"unknown design generator {generator!r}")
+    check_design_rule(generator, scale)
     rng = _rng(seed)
     m = num_covariates
     z = np.ones((n, m + 1))

@@ -11,8 +11,7 @@ from nonmarginal import (
     DecisionConfig,
     InvalidSpec,
     TruthAssignment,
-    false_discovery_proportion,
-    false_nondiscovery_proportion,
+    error_shares,
     frequentist_rates,
     posterior_rates,
     rate_fit,
@@ -68,28 +67,40 @@ class TestPosteriorRates:
 
 
 class TestProportions:
-    truth = TruthAssignment(np.array([True, False, True, False]))
+    """``error_shares`` against the truth bits: the realized proportions."""
+
+    truth = np.array([True, False, True, False])
 
     def test_false_discovery_proportion(self):
-        assert false_discovery_proportion(DecisionConfig([1, 1, 0, 0]), self.truth) == 0.5
-        assert false_discovery_proportion(DecisionConfig.all_accept(4), self.truth) is None
+        assert error_shares(DecisionConfig([1, 1, 0, 0]).bits, self.truth)[0] == 0.5
+        assert error_shares(DecisionConfig.all_accept(4).bits, self.truth)[0] is None
 
     def test_false_nondiscovery_proportion(self):
-        assert false_nondiscovery_proportion(DecisionConfig([0, 0, 1, 1]), self.truth) == 0.5
-        assert false_nondiscovery_proportion(DecisionConfig.all_reject(4), self.truth) is None
+        assert error_shares(DecisionConfig([0, 0, 1, 1]).bits, self.truth)[1] == 0.5
+        assert error_shares(DecisionConfig.all_reject(4).bits, self.truth)[1] is None
 
-    @pytest.mark.parametrize("proportion", [false_discovery_proportion,
-                                            false_nondiscovery_proportion])
-    def test_length_mismatch(self, proportion):
+    @pytest.mark.parametrize("bits, p", [(np.ones(3, bool), truth), (np.ones(4, bool), truth[:3])],
+                             ids=["short_bits", "short_p"])
+    def test_length_mismatch(self, bits, p):
         with pytest.raises(InvalidSpec, match="disagree on length"):
-            proportion(DecisionConfig.all_reject(3), self.truth)
+            error_shares(bits, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_truth_shares_are_exact_count_ratios(self, seed):
+        rng = np.random.default_rng(seed)
+        h = int(rng.integers(1, 40))
+        d, t = rng.random(h) < 0.5, rng.random(h) < 0.5
+        fdp, fnp = error_shares(d, t)
+        rejections, acceptances = int(d.sum()), int((~d).sum())
+        assert fdp == (int((d & ~t).sum()) / rejections if rejections else None)
+        assert fnp == (int((~d & t).sum()) / acceptances if acceptances else None)
 
 
 def _row(config, truth, v):
     """A replicate's (fdp, fnp, posterior report) row, marginals ``v`` as joints."""
     v = np.asarray(v, dtype=float)
-    return (false_discovery_proportion(config, truth), false_nondiscovery_proportion(config, truth),
-            posterior_rates(v, v, config))
+    return (*error_shares(config.bits, truth.alt_true), posterior_rates(v, v, config))
 
 
 class TestFrequentistRates:
@@ -127,6 +138,8 @@ class TestFrequentistRates:
         assert report.standard_errors["pfdr"] is None
         assert report.n_conditioning_fdr == 0
         assert report.n_replicates == 4
+        assert {metric: count for metric, _, _, count in report.rows()} == {
+            "pfdr": 0, "pfnr": 4, "pbfdr": 0, "pbfnr": 4, "mpbfdr": 0, "mpbfnr": 4}
 
     def test_standard_errors(self):
         c = DecisionConfig([True, False, False])

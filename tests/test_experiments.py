@@ -1,5 +1,6 @@
 """Scenario configuration, seeded orchestration, ensembles, and artifacts."""
 
+import csv
 import json
 import math
 import os
@@ -187,8 +188,7 @@ class TestDeterminism:
         run_scenario(tiny_cfg, out2, workers=2)
         for name in sorted(p.name for p in out1.glob("*.csv")):
             assert (out1 / name).read_text() == (out2 / name).read_text(), name
-        for name in ("report_nonmarginal_n40.json", "report_additive_n120.json", "rate_fits.json"):
-            assert (out1 / name).read_text() == (out2 / name).read_text()
+        assert (out1 / "rate_fits.json").read_text() == (out2 / "rate_fits.json").read_text()
         m1 = json.loads((out1 / "manifest.json").read_text())
         m2 = json.loads((out2 / "manifest.json").read_text())
         for key in ("scenario_hash", "master_seed", "outputs", "failures"):
@@ -251,14 +251,18 @@ class TestDecisionEnsemble:
             assert np.array_equal(rep.indicators.ind, expected)
 
 
+def _written_are_listed(out, manifest) -> bool:
+    """The run wrote exactly the files its manifest lists, and its config and manifest."""
+    return {p.name for p in out.iterdir()} == {*manifest.outputs, "config.json", "manifest.json"}
+
+
 class TestArtifacts:
     def test_scenario_directory_layout(self, tiny_cfg, tmp_path):
         out = tmp_path / "out"
-        run_scenario(tiny_cfg, out, workers=1)
+        result = run_scenario(tiny_cfg, out, workers=1)
         for n in tiny_cfg.n_grid:
             for rule in ("nonmarginal", "additive"):
                 assert (out / f"replicates_{rule}_n{n}.csv").exists()
-                assert (out / f"report_{rule}_n{n}.json").exists()
         assert (out / "rates.csv").exists()
         assert (out / "rate_fits.json").exists()
         assert json.loads((out / "exponent.json").read_text())["value"] >= 0.0
@@ -270,21 +274,22 @@ class TestArtifacts:
         header = (out / "replicates_nonmarginal_n40.csv").read_text().splitlines()[0]
         assert header == "replicate_id,n,beta,d_hat_bits,fdp,fnp,fdr_xn,fnr_xn,mfdr_xn,mfnr_xn"
         rates_header = (out / "rates.csv").read_text().splitlines()[0]
-        assert rates_header == "n,m_n,method,metric,value,se"
+        assert rates_header == "n,m_n,method,metric,value,se,n_conditioning,n_replicates"
+        with open(out / "rates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 6 * len(result.reports)
+        for row in rows:
+            report = result.reports[(int(row["n"]), row["method"])]
+            count = getattr(report, f"n_conditioning_{row['metric'][-3:]}")
+            assert (int(row["n_conditioning"]), int(row["n_replicates"])) == (count, tiny_cfg.replicates)
+        assert _written_are_listed(out, result.manifest)
 
     def test_aggregate_round_trip_matches_in_memory_report(self, tiny_cfg, tmp_path):
         result = run_scenario(tiny_cfg, tmp_path / "out", workers=1)
-        n = tiny_cfg.n_grid[0]
-        from_csv = aggregate_replicate_csv(tmp_path / "out" / f"replicates_nonmarginal_n{n}.csv")
-        in_memory = result.reports[(n, "nonmarginal")]
-        assert from_csv.n_replicates == in_memory.n_replicates
-        assert from_csv.n_conditioning_fdr == in_memory.n_conditioning_fdr
-        for field in ("pfdr", "pfnr", "pbfdr", "pbfnr", "mpbfdr", "mpbfnr"):
-            a, b = getattr(from_csv, field), getattr(in_memory, field)
-            if b is None:
-                assert a is None
-            else:
-                assert a == pytest.approx(b, abs=1e-9)
+        assert len(result.reports) == 6
+        for (n, rule), in_memory in result.reports.items():
+            path = tmp_path / "out" / f"replicates_{rule}_n{n}.csv"
+            assert aggregate_replicate_csv(path) == in_memory, (n, rule)
 
     def test_calibration_artifacts_when_target_set(self, tiny_cfg, tmp_path):
         cfg = ScenarioConfig.from_dict(
@@ -299,7 +304,7 @@ class TestArtifacts:
             header, first, *_ = path.read_text().splitlines()
             assert header == "iteration,beta_lo,beta_hi,beta_mid,mpbfdr,se,n_conditioning"
             assert first.startswith("0,")
-            assert path.name in result.manifest.outputs
+        assert _written_are_listed(out, result.manifest)
 
     def test_single_replicate_posterior_rate_is_small_at_scale(self):
         cfg = ScenarioConfig(replicates=1, num_draws=600, burn_in=200)
